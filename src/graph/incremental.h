@@ -2,12 +2,12 @@
 // account-row granularity — the structure behind the pipeline's lazy
 // regroup path.
 //
-// The pipeline's AG-TS pair counts only change on rows touched by a report
-// batch: applying or evicting an observation of account `a` perturbs the
-// (T, L) counts of pairs involving `a` and no others.  So after a batch,
-// the affinity graph differs from the previous one only in edges incident
-// to the dirty accounts.  IncrementalComponents maintains the adjacency
-// lists and a union-find mirror:
+// The pipeline's AG-TS task sets only change for accounts touched by a
+// report batch: applying or evicting an observation of account `a`
+// perturbs the (T, L) counts of pairs involving `a` and no others.  So
+// after a batch, the affinity graph differs from the previous one only in
+// edges incident to the dirty accounts.  IncrementalComponents maintains
+// the adjacency lists and a union-find mirror:
 //
 //   * set_neighbors(u, ...) replaces u's incident edges, updating the
 //     mirror lists of affected neighbors.  Edges that only *appear* are

@@ -38,7 +38,7 @@ struct PipelineMetrics {
       "pipeline.regroups", "incremental grouping rebuilds");
   obs::Counter& regroups_incremental = obs::MetricsRegistry::global().counter(
       "pipeline.regroups.incremental",
-      "regroups that only touched dirty affinity rows");
+      "regroups that only re-derived the edges of dirty accounts");
   obs::Counter& regroups_full = obs::MetricsRegistry::global().counter(
       "pipeline.regroups.full", "regroups that rebuilt from every pair");
   obs::Counter& regroup_uf_rebuilds = obs::MetricsRegistry::global().counter(
@@ -110,6 +110,7 @@ CampaignState::CampaignState(std::size_t campaign, std::size_t task_count,
       options_(options),
       cell_(cell),
       counters_(counters),
+      task_sets_(task_count),
       truths_(task_count, nan_value()),
       label_(std::to_string(campaign)) {
   SYBILTD_CHECK(task_count_ > 0, "campaign needs at least one task");
@@ -123,14 +124,6 @@ CampaignState::CampaignState(std::size_t campaign, std::size_t task_count,
   cell_->publish(std::move(snapshot));
 }
 
-std::uint32_t& CampaignState::pair_both(std::size_t i, std::size_t j) {
-  return i > j ? both_[i][j] : both_[j][i];
-}
-
-std::uint32_t& CampaignState::pair_alone(std::size_t i, std::size_t j) {
-  return i > j ? alone_[i][j] : alone_[j][i];
-}
-
 void CampaignState::mark_dirty(std::size_t account) {
   if (dirty_account_.size() < observations_.size()) {
     dirty_account_.resize(observations_.size(), 0);
@@ -142,56 +135,13 @@ void CampaignState::mark_dirty(std::size_t account) {
 }
 
 void CampaignState::ensure_account(std::size_t account) {
-  while (observations_.size() <= account) {
-    const std::size_t n = observations_.size();
-    observations_.emplace_back();
-    has_task_.emplace_back(task_count_, false);
-    // A fresh account's task set is empty: T_ij = 0 and L_ij = |T_j| for
-    // every existing account j.
-    both_.emplace_back(n, 0u);
-    std::vector<std::uint32_t> alone_row(n);
-    for (std::size_t j = 0; j < n; ++j) alone_row[j] = tasks_of_account_[j];
-    alone_.push_back(std::move(alone_row));
-    tasks_of_account_.push_back(0);
-    grouping_dirty_ = true;  // a new singleton changes the partition
-    mark_dirty(n);
-  }
-}
-
-void CampaignState::add_membership(std::size_t account, std::size_t task) {
-  has_task_[account][task] = true;
-  ++tasks_of_account_[account];
   const std::size_t n = observations_.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == account) continue;
-    if (has_task_[j][task]) {
-      // The task moves from j's side of the symmetric difference into the
-      // intersection.
-      ++pair_both(account, j);
-      --pair_alone(account, j);
-    } else {
-      ++pair_alone(account, j);
-    }
-  }
+  if (account < n) return;
+  task_sets_.resize(account + 1);  // first: it rejects ids past 32 bits
+  observations_.resize(account + 1);
+  // Each fresh account is a new singleton, which changes the partition.
   grouping_dirty_ = true;
-  mark_dirty(account);
-}
-
-void CampaignState::remove_membership(std::size_t account, std::size_t task) {
-  has_task_[account][task] = false;
-  --tasks_of_account_[account];
-  const std::size_t n = observations_.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == account) continue;
-    if (has_task_[j][task]) {
-      --pair_both(account, j);
-      ++pair_alone(account, j);
-    } else {
-      --pair_alone(account, j);
-    }
-  }
-  grouping_dirty_ = true;
-  mark_dirty(account);
+  for (std::size_t a = n; a <= account; ++a) mark_dirty(a);
 }
 
 void CampaignState::apply(const Report& report) {
@@ -212,7 +162,12 @@ void CampaignState::apply(const Report& report) {
     row.insert(it, Slot{report.task, report.value, report.timestamp_hours,
                         step_});
     ++live_;
-    add_membership(report.account, report.task);
+    task_sets_.insert(report.account, report.task);
+    grouping_dirty_ = true;
+    mark_dirty(report.account);
+  }
+  if (options_->decay < 1.0) {
+    arrivals_.push_back({report.account, report.task, step_});
   }
   if (report.ingest_ticks != 0) {
     pending_publish_ticks_.push_back(report.ingest_ticks);
@@ -221,23 +176,31 @@ void CampaignState::apply(const Report& report) {
 
 void CampaignState::evict_stale() {
   if (options_->decay >= 1.0) return;
-  const std::size_t n = observations_.size();
   std::uint64_t evicted = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& row = observations_[i];
-    for (auto it = row.begin(); it != row.end();) {
-      const double age = static_cast<double>(step_ - it->born);
-      if (std::pow(options_->decay, age) < options_->influence_floor) {
-        remove_membership(i, it->task);
-        it = row.erase(it);
-        --live_;
-        ++evicted;
-        counters_->evictions.fetch_add(1, std::memory_order_relaxed);
-        PipelineMetrics::get().evictions.inc();
-      } else {
-        ++it;
-      }
+  while (!arrivals_.empty()) {
+    const Arrival oldest = arrivals_.front();
+    const double age = static_cast<double>(step_ - oldest.born);
+    if (!(std::pow(options_->decay, age) < options_->influence_floor)) break;
+    arrivals_.pop_front();
+    auto& row = observations_[oldest.account];
+    const auto it = std::lower_bound(
+        row.begin(), row.end(), oldest.task,
+        [](const Slot& slot, std::size_t task) { return slot.task < task; });
+    // An upsert since this arrival re-stamped the slot (or an eviction and
+    // re-insert replaced it): a later FIFO entry owns it now.
+    if (it == row.end() || it->task != oldest.task || it->born != oldest.born) {
+      continue;
     }
+    row.erase(it);
+    task_sets_.erase(oldest.account, oldest.task);
+    grouping_dirty_ = true;
+    mark_dirty(oldest.account);
+    --live_;
+    ++evicted;
+  }
+  if (evicted > 0) {
+    counters_->evictions.fetch_add(evicted, std::memory_order_relaxed);
+    PipelineMetrics::get().evictions.inc(evicted);
   }
   if (evicted > 0 && obs::log_enabled(obs::LogLevel::kDebug) &&
       pipeline_warn_limiter().allow()) {
@@ -260,23 +223,15 @@ const core::AccountGrouping& CampaignState::grouping() {
   } else if (candidate::enabled(options_->candidates, n)) {
     // Lazy path: only accounts whose task set changed since the last
     // incremental regroup can have different affinity edges (a report only
-    // mutates its own account's pair counts), so recomputing those rows
-    // and handing them to IncrementalComponents reproduces the full
-    // rebuild's partition — and its canonical labels — in O(dirty · n).
+    // mutates its own account's row of the index), so re-deriving those
+    // accounts' neighbours and handing them to IncrementalComponents
+    // reproduces the full rebuild's partition — and its canonical labels.
     span.arg("dirty", static_cast<double>(dirty_list_.size()));
     components_.resize(n);
     std::sort(dirty_list_.begin(), dirty_list_.end());
     std::vector<std::uint32_t> neighbors;
     for (std::uint32_t a : dirty_list_) {
-      neighbors.clear();
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == a) continue;
-        const std::uint32_t both = a > j ? both_[a][j] : both_[j][a];
-        const std::uint32_t alone = a > j ? alone_[a][j] : alone_[j][a];
-        if (core::AgTs::affinity(both, alone, task_count_) > options_->rho) {
-          neighbors.push_back(static_cast<std::uint32_t>(j));
-        }
-      }
+      task_sets_.neighbors(a, options_->rho, neighbors);
       components_.set_neighbors(a, neighbors);
       dirty_account_[a] = 0;
     }
@@ -290,8 +245,9 @@ const core::AccountGrouping& CampaignState::grouping() {
     graph::UnionFind components(n);
     for (std::size_t i = 1; i < n; ++i) {
       for (std::size_t j = 0; j < i; ++j) {
-        if (core::AgTs::affinity(both_[i][j], alone_[i][j], task_count_) >
-            options_->rho) {
+        if (core::AgTs::affinity(task_sets_.both(i, j),
+                                 task_sets_.alone(i, j),
+                                 task_count_) > options_->rho) {
           components.unite(i, j);
         }
       }
@@ -303,20 +259,6 @@ const core::AccountGrouping& CampaignState::grouping() {
   counters_->regroups.fetch_add(1, std::memory_order_relaxed);
   PipelineMetrics::get().regroups.inc();
   return grouping_;
-}
-
-std::vector<std::vector<double>> CampaignState::affinity_matrix() const {
-  const std::size_t n = observations_.size();
-  std::vector<std::vector<double>> matrix(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      const double a =
-          core::AgTs::affinity(both_[i][j], alone_[i][j], task_count_);
-      matrix[i][j] = a;
-      matrix[j][i] = a;
-    }
-  }
-  return matrix;
 }
 
 core::FrameworkInput CampaignState::as_framework_input() const {

@@ -8,14 +8,18 @@
 //   * an observation store (per account, sorted by task; last write wins,
 //     so re-submissions update in place as the paper's one-report-per-task
 //     rule implies),
-//   * AG-TS pair statistics — for every account pair the counts T_ij
-//     (tasks both did) and L_ij (tasks either did alone) that Eq. (6)
-//     combines into the affinity.  Applying a report touches one row of
-//     those counts (O(accounts)) instead of recomputing the O(n²·m)
-//     matrix,
+//   * a candidate::TaskSetIndex over the live task sets — a flat per-
+//     account bitset plus one posting list per task.  Applying or evicting
+//     an observation flips one bit and touches one posting list (O(1)
+//     amortised); the Eq. (6) counts T_ij (tasks both did) and L_ij (tasks
+//     either did alone) are popcounts of two rows, so no per-pair state
+//     exists and memory stays linear in accounts plus observations,
 //   * the connected-component grouping over the affinity > rho graph,
-//     rebuilt lazily (union-find over the pair counts) only when some
-//     report changed a task-set membership,
+//     rebuilt lazily only when some report changed a task-set membership:
+//     under the candidate policy the dirty accounts' edges are re-derived
+//     from the index (prefix-filtered posting lists for rho >= 0) and fed
+//     to graph::IncrementalComponents; otherwise a union-find over every
+//     pair's popcounts,
 //   * warm CRH truth state at the group granularity, refined a few
 //     iterations per micro-batch the way truth::OnlineCrh refines per
 //     observation.
@@ -23,9 +27,11 @@
 // Forgetting follows OnlineCrh semantics lifted to the grouped setting:
 // each observation records its arrival step; once its influence
 // decay^age falls below influence_floor it is evicted, which updates the
-// pair counts and (possibly) splits groups.  With decay = 1 nothing is
-// ever forgotten and a drained shard reproduces the batch
-// core::run_framework output exactly (tested to 1e-9).
+// task-set index and (possibly) splits groups.  Arrivals are kept in FIFO
+// order, so eviction pops the oldest entries instead of scanning every
+// slot.  With decay = 1 nothing is ever forgotten and a drained shard
+// reproduces the batch core::run_framework output exactly (tested to
+// 1e-9).
 //
 // Threading contract: all CampaignState mutation happens on the shard's
 // worker thread; readers see results only through the published
@@ -37,6 +43,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,6 +52,7 @@
 #include <vector>
 
 #include "candidate/candidate.h"
+#include "candidate/task_set_index.h"
 #include "core/framework.h"
 #include "core/grouping.h"
 #include "graph/incremental.h"
@@ -76,10 +84,12 @@ struct ShardOptions {
   core::FrameworkOptions framework;
   // Incremental-regroup policy: once a campaign reaches
   // candidates.min_accounts (or always under kOn; SYBILTD_CANDIDATES
-  // overrides), regrouping only recomputes the affinity rows of accounts
-  // dirtied since the last regroup — O(dirty · n) instead of O(n²) — via
-  // graph::IncrementalComponents.  Off reproduces the full union-find
-  // rebuild byte for byte.
+  // overrides), regrouping only re-derives the edges of accounts dirtied
+  // since the last regroup, each from TaskSetIndex::neighbors (for
+  // rho >= 0 only the posting lists of its first |T| - floor(2|T|/3)
+  // tasks are probed; rho < 0 verifies every account), and hands them to
+  // graph::IncrementalComponents.  Off rebuilds a union-find over every
+  // pair's popcounts (O(n²)); both produce the same labels.
   candidate::Policy candidates;
 };
 
@@ -112,25 +122,23 @@ class CampaignState {
   std::size_t live_observations() const { return live_; }
   std::uint64_t applied_reports() const { return applied_; }
 
-  // Upsert one report: new (account, task) memberships update the AG-TS
-  // pair counts incrementally and dirty the grouping; repeat reports only
-  // refresh value and age.
+  // Upsert one report: new (account, task) memberships enter the task-set
+  // index and dirty the grouping; repeat reports only refresh value and
+  // age.
   void apply(const Report& report);
 
   // Drop observations whose influence decayed below the floor (no-op when
-  // decay = 1).  Membership removals dirty the grouping.
+  // decay = 1).  Membership removals dirty the grouping.  Pops the arrival
+  // FIFO while its oldest entry has decayed out: O(evicted + upserted)
+  // rather than a scan of every slot.
   void evict_stale();
 
-  // Current grouping; rebuilt from the pair counts when dirty.
+  // Current grouping; rebuilt from the task-set index when dirty.
   const core::AccountGrouping& grouping();
 
   // Refine the warm truth state (a few iterations, or to convergence via
   // the batch run_framework path) and publish a fresh snapshot.
   void refine_and_publish(bool to_convergence);
-
-  // The full Eq. (6) affinity matrix from the incremental pair counts;
-  // matches core::AgTs::affinity_matrix on the same data (tested).
-  std::vector<std::vector<double>> affinity_matrix() const;
 
   // Reconstruct the batch-framework view of the live observations.
   core::FrameworkInput as_framework_input() const;
@@ -143,12 +151,16 @@ class CampaignState {
     std::uint64_t born = 0;  // arrival step, for decay
   };
 
+  // One apply() in arrival order; `born` tells a live slot's latest
+  // arrival from one an upsert has since superseded.
+  struct Arrival {
+    std::size_t account = 0;
+    std::size_t task = 0;
+    std::uint64_t born = 0;
+  };
+
   void ensure_account(std::size_t account);
-  void add_membership(std::size_t account, std::size_t task);
-  void remove_membership(std::size_t account, std::size_t task);
   void mark_dirty(std::size_t account);
-  std::uint32_t& pair_both(std::size_t i, std::size_t j);
-  std::uint32_t& pair_alone(std::size_t i, std::size_t j);
 
   std::size_t campaign_;
   std::size_t task_count_;
@@ -158,12 +170,12 @@ class CampaignState {
 
   // Per-account observations sorted by task (at most one slot per task).
   std::vector<std::vector<Slot>> observations_;
-  // Per-account task membership bitmap and |T_i| counts.
-  std::vector<std::vector<bool>> has_task_;
-  std::vector<std::uint32_t> tasks_of_account_;
-  // Lower-triangular pair counts: row i holds entries for j < i.
-  std::vector<std::vector<std::uint32_t>> both_;
-  std::vector<std::vector<std::uint32_t>> alone_;
+  // Live task sets (bitsets + posting lists) behind every regroup.
+  candidate::TaskSetIndex task_sets_;
+  // Arrivals oldest first (only kept when decay < 1).  Ages rise
+  // monotonically towards the front, so the entries that decayed out are
+  // exactly a prefix.
+  std::deque<Arrival> arrivals_;
 
   core::AccountGrouping grouping_;
   bool grouping_dirty_ = false;

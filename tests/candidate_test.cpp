@@ -6,9 +6,12 @@
 // reproduces the dense partition on seed-scale scenarios.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "candidate/blocking.h"
@@ -16,6 +19,7 @@
 #include "candidate/cascade.h"
 #include "candidate/features.h"
 #include "candidate/setjoin.h"
+#include "candidate/task_set_index.h"
 #include "core/ag_tr.h"
 #include "core/ag_ts.h"
 #include "core/ag_auto.h"
@@ -440,6 +444,220 @@ TEST(PipelineIncrementalRegroup, EscapeHatchForcesFullPath) {
   // With the env off, grouping uses the historical full-rebuild path; the
   // result is the same partition either way — this pins the routing.
   EXPECT_EQ(state.grouping().group_count(), 1u);
+}
+
+// --- Task-set index and the streaming regroup ------------------------------
+
+// Task counts covering a partial word, one exact word, and the multi-word
+// bitset rows (with and without a partial last word).
+constexpr std::size_t kIndexTaskCounts[] = {12, 64, 70, 130};
+constexpr double kIndexRhos[] = {-0.5, 0.0, 0.3, 1.0};
+
+TEST(TaskSetIndex, NeighborsMatchBruteForceUnderChurn) {
+  for (const std::size_t m : kIndexTaskCounts) {
+    const std::size_t kAccounts = 48;
+    candidate::TaskSetIndex index(m);
+    index.resize(kAccounts);
+    std::vector<std::set<std::uint32_t>> model(kAccounts);
+    std::mt19937_64 rng(1000 + m);
+    std::uniform_int_distribution<std::size_t> account(0, kAccounts - 1);
+    // Sybil-like accounts (multiples of 4) toggle within one shared band of
+    // 16 tasks, the rest within bands of their own.  Present memberships
+    // are erased only one time in 16, so sets stay nearly full and the
+    // shared band yields edges even at rho = 1 with m = 130.
+    std::uniform_int_distribution<std::size_t> offset(0, 15);
+    std::size_t edges[std::size(kIndexRhos)] = {};
+    for (int step = 0; step < 4000; ++step) {
+      const std::size_t a = account(rng);
+      const std::size_t base = a % 4 == 0 ? 0 : a;
+      const std::size_t t = (base * 5 + offset(rng)) % m;
+      if (model[a].count(static_cast<std::uint32_t>(t)) != 0) {
+        if (rng() % 16 != 0) continue;
+        index.erase(a, t);
+        model[a].erase(static_cast<std::uint32_t>(t));
+      } else {
+        index.insert(a, t);
+        model[a].insert(static_cast<std::uint32_t>(t));
+      }
+      if (step % 250 != 249) continue;
+      for (std::size_t i = 0; i < kAccounts; ++i) {
+        ASSERT_EQ(index.size(i), model[i].size());
+        for (std::size_t task = 0; task < m; ++task) {
+          ASSERT_EQ(index.contains(i, task),
+                    model[i].count(static_cast<std::uint32_t>(task)) != 0);
+        }
+      }
+      for (std::size_t r = 0; r < std::size(kIndexRhos); ++r) {
+        const double rho = kIndexRhos[r];
+        std::vector<std::uint32_t> got;
+        for (std::size_t i = 0; i < kAccounts; ++i) {
+          std::vector<std::uint32_t> want;
+          for (std::size_t j = 0; j < kAccounts; ++j) {
+            if (j == i) continue;
+            std::size_t both = 0;
+            for (std::uint32_t task : model[i]) both += model[j].count(task);
+            const std::size_t alone =
+                model[i].size() + model[j].size() - 2 * both;
+            ASSERT_EQ(index.both(i, j), both);
+            ASSERT_EQ(index.alone(i, j), alone);
+            if (core::AgTs::affinity(both, alone, m) > rho) {
+              want.push_back(static_cast<std::uint32_t>(j));
+            }
+          }
+          index.neighbors(i, rho, got);
+          ASSERT_EQ(got, want)
+              << "m " << m << " rho " << rho << " account " << i;
+          edges[r] += got.size();
+        }
+      }
+    }
+    // Every threshold must have been exercised with real edges.
+    for (std::size_t r = 0; r < std::size(kIndexRhos); ++r) {
+      EXPECT_GT(edges[r], 0u) << "m " << m << " rho " << kIndexRhos[r];
+    }
+  }
+}
+
+TEST(TaskSetIndex, ReinsertedMembershipIsReportedOnce) {
+  candidate::TaskSetIndex index(64);
+  index.resize(3);
+  for (std::size_t t = 0; t < 10; ++t) {
+    index.insert(0, t);
+    index.insert(1, t);
+  }
+  // Each cycle leaves a stale or duplicate posting entry for account 1
+  // until the list is compacted.
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    index.erase(1, 0);
+    index.insert(1, 0);
+    std::vector<std::uint32_t> out;
+    index.neighbors(0, 0.0, out);
+    ASSERT_EQ(out, std::vector<std::uint32_t>({1})) << "cycle " << cycle;
+  }
+  index.erase(1, 0);
+  std::vector<std::uint32_t> out;
+  index.neighbors(1, 0.0, out);  // T = 9, L = 1
+  EXPECT_EQ(out, std::vector<std::uint32_t>({0}));
+  // Account 2 is empty: A(2, b) = -2|T_b|^2 / m, below -1 for 0 and 1.
+  index.neighbors(2, -1.0, out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(TaskSetIndex, ValidatesArguments) {
+  EXPECT_THROW(candidate::TaskSetIndex(0), std::invalid_argument);
+  candidate::TaskSetIndex index(8);
+  index.resize(3);
+  EXPECT_THROW(index.resize(2), std::invalid_argument);
+  index.insert(1, 7);
+  EXPECT_THROW(index.insert(1, 7), std::logic_error);
+  EXPECT_THROW(index.erase(2, 7), std::logic_error);
+}
+
+// The shard's streaming regroup (incremental under kOn, full rebuild under
+// kOff) against batch AG-TS on the live view, and its FIFO eviction against
+// a brute-force scan of every live slot, under churn with upserts.
+TEST(PipelineIncrementalRegroup, MatchesBatchAgTsAndEvictionOracle) {
+  for (const std::size_t m : kIndexTaskCounts) {
+    for (const double rho : kIndexRhos) {
+      for (const candidate::Mode mode :
+           {candidate::Mode::kOn, candidate::Mode::kOff}) {
+        pipeline::ShardOptions options;
+        options.rho = rho;
+        options.decay = 0.99;
+        options.influence_floor = 1e-2;  // a horizon of 458 arrivals
+        options.candidates.mode = mode;
+        pipeline::SnapshotCell cell;
+        pipeline::ShardCounters counters;
+        pipeline::CampaignState state(0, m, &options, &cell, &counters);
+        const core::AgTs batch(core::AgTsOptions{
+            .rho = rho,
+            .candidates = {.mode = candidate::Mode::kOff},
+            .set_join = {}});
+
+        // Oracle: (account, task) -> arrival step of the live copy, and the
+        // step the copy first arrived (an upsert moves only the former).
+        std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> born;
+        std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> first;
+        std::size_t kept_by_upsert = 0;
+        std::size_t merged = 0;  // checks where some group has two accounts
+        std::uint64_t step = 0;
+        std::mt19937_64 rng(31 * m + static_cast<std::uint64_t>(rho * 8 + 8));
+        std::uniform_int_distribution<std::size_t> account(0, 11);
+        std::uniform_int_distribution<std::size_t> offset(0, 11);
+        for (int i = 0; i < 1200; ++i) {
+          pipeline::Report report;
+          report.campaign = 0;
+          report.account = account(rng);
+          // Sybil-like accounts (multiples of 4) share one band of 12
+          // tasks, so groups form at every threshold; few accounts over
+          // narrow bands keep the upsert rate high.
+          const std::size_t base =
+              report.account % 4 == 0 ? 0 : report.account;
+          report.task = (base * 5 + offset(rng)) % m;
+          report.value = static_cast<double>(i);
+          state.apply(report);
+          ++step;
+          const auto key = std::make_pair(report.account, report.task);
+          if (born.count(key) == 0) first[key] = step;
+          born[key] = step;
+
+          if (i % 9 != 8) continue;
+          state.evict_stale();
+          const auto decayed = [&](std::uint64_t at) {
+            return std::pow(options.decay, static_cast<double>(step - at)) <
+                   options.influence_floor;
+          };
+          for (auto it = born.begin(); it != born.end();) {
+            if (decayed(it->second)) {
+              first.erase(it->first);
+              it = born.erase(it);
+            } else {
+              if (decayed(first[it->first])) ++kept_by_upsert;
+              ++it;
+            }
+          }
+          const core::FrameworkInput view = state.as_framework_input();
+          std::map<std::pair<std::size_t, std::size_t>, double> live;
+          for (std::size_t a = 0; a < view.accounts.size(); ++a) {
+            for (const auto& r : view.accounts[a].reports) {
+              live[{a, r.task}] = r.value;
+            }
+          }
+          ASSERT_EQ(live.size(), born.size()) << "step " << step;
+          ASSERT_EQ(state.live_observations(), born.size());
+          for (const auto& [key, at] : born) {
+            ASSERT_EQ(live.count(key), 1u)
+                << "account " << key.first << " task " << key.second;
+            // Values are the arrival index, so this pins last-write-wins.
+            EXPECT_EQ(live[key], static_cast<double>(at - 1));
+          }
+          ASSERT_EQ(state.grouping().labels(), batch.group(view).labels())
+              << "m " << m << " rho " << rho << " step " << step;
+          if (state.grouping().group_count() < view.accounts.size()) ++merged;
+        }
+        EXPECT_GT(kept_by_upsert, 0u) << "m " << m << " rho " << rho;
+        EXPECT_GT(merged, 0u) << "m " << m << " rho " << rho;
+      }
+    }
+  }
+}
+
+// Accounts below the largest reported id exist with empty task sets; at
+// rho < 0 two empty sets (affinity 0) share an edge, so they must enter the
+// regroup even though no report ever named them.
+TEST(PipelineIncrementalRegroup, UnreportedAccountsJoinAtNegativeRho) {
+  pipeline::ShardOptions options;
+  options.rho = -0.5;
+  options.candidates.mode = candidate::Mode::kOn;
+  pipeline::SnapshotCell cell;
+  pipeline::ShardCounters counters;
+  pipeline::CampaignState state(0, 12, &options, &cell, &counters);
+  for (std::size_t task = 0; task < 4; ++task) {
+    state.apply({0, 3, task, -60.0, 0.0});
+  }
+  // A(empty, account 3) = -2 * 4^2 / 12 < -0.5: account 3 stays alone.
+  EXPECT_EQ(state.grouping().labels(),
+            std::vector<std::size_t>({0, 0, 0, 1}));
 }
 
 // --- Escape hatch ----------------------------------------------------------
