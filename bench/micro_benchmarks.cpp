@@ -414,15 +414,13 @@ struct PoolSizeGuard {
 void BM_AgTrThreads(benchmark::State& state) {
   const auto input = eval::to_framework_input(large_scenario());
   PoolSizeGuard guard(static_cast<std::size_t>(state.range(0)));
-  core::AgTrOptions opt;
-  opt.prune_with_lower_bound = true;
-  const core::AgTr grouper(opt);
+  const core::AgTr grouper;
   core::AgTrStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(grouper.group_with_stats(input, &stats));
   }
   state.counters["prune_rate"] =
-      stats.pairs > 0 ? static_cast<double>(stats.lb_pruned +
+      stats.pairs > 0 ? static_cast<double>(stats.blocked + stats.lb_pruned +
                                             stats.task_abandoned) /
                             static_cast<double>(stats.pairs)
                       : 0.0;

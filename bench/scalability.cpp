@@ -1,30 +1,31 @@
 // Extension bench: grouping at campaign scale (10^4 .. 10^6 accounts).
 //
 // The paper's experiment has 18 accounts; this bench measures the
-// sub-quadratic candidate-generation paths (src/candidate/) against the
-// all-pairs baselines they replace:
+// sub-quadratic production groupers (built on src/candidate/) against
+// bench-local all-pairs oracles:
 //
-//   AG-TR   endpoint-grid blocking + lower-bound cascade  vs  all-pairs
-//           with the single-shot LB prefilter (the pre-candidate best),
-//   AG-TS   signature collapse + MinHash set join          vs  an exact
-//           bitset-popcount sweep over every pair.
+//   AG-TR   AgTr(): endpoint-grid blocking + lower-bound cascade  vs  every
+//           pair, skipped only when the endpoint bound reaches phi,
+//           otherwise exact DTW,
+//   AG-TS   AgTs(): signature collapse + MinHash set join          vs  an
+//           exact bitset-popcount sweep over every pair.
 //
-// Both candidate paths are generate-then-verify, so recall against the
-// exact grouping is the headline number next to the speedup; the funnel
-// fractions show where pairs die.  Baselines only run up to
-// --all-pairs-cap accounts (default 10^5) — beyond that the quadratic
-// sweep is the point being made.
+// Both production paths are generate-then-verify, so recall against the
+// oracle's grouping is the headline number next to the speedup; the funnel
+// fractions show where pairs die.  Oracles only run up to --all-pairs-cap
+// accounts (default 10^5) — beyond that the quadratic sweep is the point
+// being made.
 //
 // Modes:
 //   scalability [sizes...]          human tables (default 10000 100000)
 //   scalability --json [sizes...]   google-benchmark JSON for
 //                                   bench/compare_bench.py (BENCH_grouping)
-//   scalability --smoke [n]         CI gate: candidates prune > 90% of
-//                                   pairs and recall == 1.0 at n (5000)
-//   scalability --strategies [max]  the original small-scale AG-TR
-//                                   strategy comparison (exact / lb-pruned
-//                                   / fastdtw)
-//   scalability --all-pairs-cap N   largest n that runs exact baselines
+//   scalability --smoke [n]         CI gate: AG-TR prunes > 90% of pairs
+//                                   and recall == 1.0 at n (5000)
+//   scalability --strategies [max]  AgTr() against the AG-TR oracle on
+//                                   small Attack-I scenarios; exits 1 on
+//                                   any grouping mismatch
+//   scalability --all-pairs-cap N   largest n that runs the oracles
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,10 +39,10 @@
 #include "core/ag_tr.h"
 #include "core/ag_ts.h"
 #include "core/framework.h"
+#include "dtw/dtw.h"
 #include "eval/adapters.h"
 #include "graph/union_find.h"
 #include "mcs/scenario.h"
-#include "ml/clustering_metrics.h"
 
 using namespace sybiltd;
 
@@ -204,13 +205,47 @@ std::vector<std::size_t> agts_exact_labels(const core::FrameworkInput& input,
   return uf.labels();
 }
 
+// All-pairs AG-TR oracle: every pair of non-empty trajectories is skipped
+// only when the endpoint bound (first/last alignment) already reaches phi,
+// and otherwise decided by the exact total-cost DTW of both series — no
+// blocking grid, no envelope or LB_Keogh stage, no early abandon.  Same
+// partition as core::AgTr with default options.
+
+std::vector<std::size_t> agtr_oracle_labels(const core::FrameworkInput& input,
+                                            double phi) {
+  const std::size_t n = input.accounts.size();
+  std::vector<std::vector<double>> xs(n), ys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = core::AgTr::task_series(input.accounts[i]);
+    ys[i] = core::AgTr::timestamp_series(input.accounts[i]);
+  }
+  graph::UnionFind uf(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (xs[i].empty()) continue;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (xs[j].empty()) continue;
+      if (dtw::endpoint_lower_bound(xs[i], xs[j]) +
+              dtw::endpoint_lower_bound(ys[i], ys[j]) >=
+          phi) {
+        continue;
+      }
+      if (dtw::dtw_total_cost(xs[i], xs[j]) +
+              dtw::dtw_total_cost(ys[i], ys[j]) <
+          phi) {
+        uf.unite(i, j);
+      }
+    }
+  }
+  return uf.labels();
+}
+
 // ---------------------------------------------------------------------------
 // Per-size measurements.
 
 struct AgTrRun {
   double candidate_s = 0.0;
-  double all_pairs_s = -1.0;  // < 0: baseline skipped
-  double recall = -1.0;       // < 0: unmeasured (no baseline)
+  double all_pairs_s = -1.0;  // < 0: oracle skipped
+  double recall = -1.0;       // < 0: unmeasured (no oracle)
   core::AgTrStats stats;
 };
 
@@ -223,34 +258,25 @@ struct AgTsRun {
 
 AgTrRun run_agtr(const core::FrameworkInput& input, bool with_baseline) {
   AgTrRun run;
-  core::AgTrOptions cand_opt;
-  cand_opt.candidates.mode = candidate::Mode::kOn;
   auto t0 = std::chrono::steady_clock::now();
-  const auto cand = core::AgTr(cand_opt).group_with_stats(input, &run.stats);
+  const auto grouping = core::AgTr().group_with_stats(input, &run.stats);
   run.candidate_s = seconds_since(t0);
   if (!with_baseline) return run;
 
-  // The strongest pre-candidate exact configuration: all pairs, pruned by
-  // the single-shot lower bound.
-  core::AgTrOptions base_opt;
-  base_opt.prune_with_lower_bound = true;
-  base_opt.candidates.mode = candidate::Mode::kOff;
   t0 = std::chrono::steady_clock::now();
-  const auto exact = core::AgTr(base_opt).group(input);
+  const auto exact = agtr_oracle_labels(input, core::AgTrOptions{}.phi);
   run.all_pairs_s = seconds_since(t0);
-  run.recall = pair_recall(exact.labels(), cand.labels());
+  run.recall = pair_recall(exact, grouping.labels());
   return run;
 }
 
 AgTsRun run_agts(const core::FrameworkInput& input, double rho,
                  bool with_baseline) {
   AgTsRun run;
-  core::AgTsOptions sparse_opt;
-  sparse_opt.rho = rho;
-  sparse_opt.candidates.mode = candidate::Mode::kOn;
+  core::AgTsOptions options;
+  options.rho = rho;
   auto t0 = std::chrono::steady_clock::now();
-  const auto sparse =
-      core::AgTs(sparse_opt).group_with_stats(input, &run.stats);
+  const auto sparse = core::AgTs(options).group_with_stats(input, &run.stats);
   run.sparse_s = seconds_since(t0);
   if (!with_baseline) return run;
 
@@ -280,10 +306,10 @@ int run_grouping(const std::vector<std::size_t>& sizes, bool json,
     std::printf("=== Extension: sub-quadratic grouping (10%% Sybil accounts "
                 "in groups of 5, m = n/250 tasks) ===\n\n");
   }
-  TextTable agtr_table({"accounts", "candidates s", "all-pairs s", "speedup",
+  TextTable agtr_table({"accounts", "AgTr() s", "oracle s", "speedup",
                         "recall", "blocked %", "cascade-pruned %",
                         "exact DTW pairs"});
-  TextTable agts_table({"accounts", "sparse s", "exact s", "speedup",
+  TextTable agts_table({"accounts", "AgTs() s", "oracle s", "speedup",
                         "recall", "collapsed", "verified pairs", "edges"});
   std::string benchmarks;  // JSON entries
   char buf[512];
@@ -368,9 +394,9 @@ int run_grouping(const std::vector<std::size_t>& sizes, bool json,
     return 0;
   }
   std::printf("AG-TR: endpoint-grid blocking + lower-bound cascade vs "
-              "all-pairs with the\nsingle-shot LB prefilter.  Recall is "
-              "pairwise against the exact grouping\n(1.0 expected: the "
-              "candidate path is provably exact).\n\n%s\n",
+              "the all-pairs\noracle (endpoint bound, then exact DTW).  "
+              "Recall is pairwise against the\noracle's grouping (1.0 "
+              "expected: the production path is provably exact).\n\n%s\n",
               agtr_table.render().c_str());
   std::printf("AG-TS: signature collapse + MinHash set join vs an exact "
               "bitset-popcount\nsweep (rho = %.1f).\n\n%s",
@@ -388,12 +414,12 @@ int run_smoke(std::size_t n) {
       static_cast<double>(tr.stats.blocked + tr.stats.lb_pruned +
                           tr.stats.task_abandoned) /
       pairs;
-  std::printf("  agtr: %.2fs candidates vs %.2fs all-pairs, recall %.4f, "
+  std::printf("  agtr: %.2fs AgTr() vs %.2fs oracle, recall %.4f, "
               "%.2f%% of pairs pruned before exact DTW\n",
               tr.candidate_s, tr.all_pairs_s, tr.recall,
               100.0 * pruned_frac);
   const AgTsRun ts = run_agts(scenario.input, kRho, /*with_baseline=*/true);
-  std::printf("  agts: %.2fs sparse vs %.2fs exact, recall %.4f, "
+  std::printf("  agts: %.2fs AgTs() vs %.2fs oracle, recall %.4f, "
               "%zu pairs verified of %.0f\n",
               ts.sparse_s, ts.exact_s, ts.recall, ts.stats.join.candidates,
               pairs);
@@ -404,7 +430,7 @@ int run_smoke(std::size_t n) {
     ok = false;
   }
   if (tr.recall < 1.0) {
-    std::printf("FAIL: AG-TR candidate recall %.6f (the path is supposed "
+    std::printf("FAIL: AG-TR recall %.6f (the path is supposed "
                 "to be exact)\n", tr.recall);
     ok = false;
   }
@@ -421,10 +447,9 @@ int run_strategies(std::size_t max_legit) {
   std::printf("=== Extension: AG-TR scalability (Attack-I attackers = 10%% "
               "of users, 40 tasks) ===\n\n");
 
-  TextTable table({"accounts", "exact ms", "lb-pruned ms", "fastdtw ms",
-                   "pruned == exact", "fastdtw ARI vs exact",
-                   "framework ms"});
-
+  TextTable table({"accounts", "all-pairs oracle ms", "AgTr() ms",
+                   "identical", "framework ms"});
+  bool all_identical = true;
   for (std::size_t legit = 40; legit <= max_legit; legit *= 2) {
     const std::size_t attackers = legit / 10;
     const auto config =
@@ -433,46 +458,29 @@ int run_strategies(std::size_t max_legit) {
     const auto input = eval::to_framework_input(data);
     const std::size_t accounts = input.accounts.size();
 
-    core::AgTrOptions exact_opt;
-    core::AgTrOptions pruned_opt;
-    pruned_opt.prune_with_lower_bound = true;
-    core::AgTrOptions fast_opt;
-    fast_opt.approximate = true;
-    fast_opt.fast_dtw.radius = 2;
-
     auto t0 = std::chrono::steady_clock::now();
-    const auto exact = core::AgTr(exact_opt).group(input);
-    const double exact_ms = 1e3 * seconds_since(t0);
+    const auto exact = agtr_oracle_labels(input, core::AgTrOptions{}.phi);
+    const double oracle_ms = 1e3 * seconds_since(t0);
 
     t0 = std::chrono::steady_clock::now();
-    const auto pruned = core::AgTr(pruned_opt).group(input);
-    const double pruned_ms = 1e3 * seconds_since(t0);
+    const auto grouping = core::AgTr().group(input);
+    const double agtr_ms = 1e3 * seconds_since(t0);
 
     t0 = std::chrono::steady_clock::now();
-    const auto fast = core::AgTr(fast_opt).group(input);
-    const double fast_ms = 1e3 * seconds_since(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    (void)core::run_framework(input, pruned);
+    (void)core::run_framework(input, grouping);
     const double framework_ms = 1e3 * seconds_since(t0);
 
-    const bool identical = pruned.labels() == exact.labels();
-    const double fast_agreement =
-        ml::adjusted_rand_index(fast.labels(), exact.labels());
-
-    table.add_row({std::to_string(accounts), format_cell(exact_ms, 1),
-                   format_cell(pruned_ms, 1), format_cell(fast_ms, 1),
-                   identical ? "yes" : "NO",
-                   format_cell(fast_agreement, 3),
+    const bool identical = grouping.labels() == exact;
+    all_identical = all_identical && identical;
+    table.add_row({std::to_string(accounts), format_cell(oracle_ms, 1),
+                   format_cell(agtr_ms, 1), identical ? "yes" : "NO",
                    format_cell(framework_ms, 1)});
   }
   std::printf("%s", table.render().c_str());
-  std::printf("\nThe lower-bound prefilter is exact (identical grouping) "
-              "because pruning only\nskips pairs whose bound already "
-              "proves D >= phi; FastDTW is approximate but\nits grouping "
-              "should agree almost always (near-duplicate trajectories "
-              "have\nnear-zero cost at any radius).\n");
-  return 0;
+  std::printf("\nAgTr() is exact (identical grouping) because blocking and "
+              "the cascade only\nskip pairs whose lower bound already "
+              "proves D >= phi.\n");
+  return all_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -38,8 +38,8 @@ struct BlockingStats {
 };
 
 // Unordered pairs (i < j) packed as (i << 32) | j, sorted ascending — the
-// same lexicographic order the all-pairs loops visit, which is what keeps
-// candidate-mode grouping bit-identical to exact mode.  Accounts with empty
+// lexicographic order of an all-pairs loop, which is what keeps AG-TR's
+// grouping bit-identical to the all-pairs edge fold.  Accounts with empty
 // series are skipped (they are never edges).  phi <= 0 admits no edge at
 // all, so the candidate list is empty.
 std::vector<std::uint64_t> endpoint_grid_candidates(

@@ -14,12 +14,10 @@
 //   4. exact banded DTW, task series first: the time term can only add, so
 //      a task cost >= phi abandons the pair before the second DP.
 //
-// Because the bounds are monotone across stages (each stage takes a max
-// with the previous), the cascade prunes a pair if and only if the single
-// combined bound the pre-candidate prefilter computed reaches phi — same
-// decisions, same surviving pairs, same dissimilarity values, therefore
-// bit-identical grouping.  The staging only changes how early the cheap
-// rejections exit.
+// Every stage is a valid lower bound, so a pruned pair really has
+// D >= phi, and a surviving pair's dissimilarity is the exact DP value:
+// the cascade keeps exactly the edges an all-pairs evaluation would.  The
+// staging only changes how early the cheap rejections exit.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +27,6 @@
 
 #include "candidate/features.h"
 #include "dtw/dtw.h"
-#include "dtw/fastdtw.h"
 
 namespace sybiltd::candidate {
 
@@ -59,9 +56,7 @@ struct CascadeStats {
 
 struct CascadeOptions {
   double phi = 1.0;
-  dtw::DtwOptions dtw;       // band forwarded to the exact DP and LB_Keogh
-  bool approximate = false;  // FastDTW instead of the exact DP (stage 4)
-  dtw::FastDtwOptions fast_dtw;
+  dtw::DtwOptions dtw;  // band forwarded to the exact DP and LB_Keogh
 };
 
 // Stateless evaluator over borrowed per-account series and fingerprints;
@@ -84,8 +79,6 @@ class LbCascade {
                           double* dissimilarity) const;
 
  private:
-  double term_dtw(std::span<const double> a, std::span<const double> b) const;
-
   std::span<const std::vector<double>> xs_;
   std::span<const std::vector<double>> ys_;
   std::span<const TrajectoryFingerprint> fps_;

@@ -42,8 +42,7 @@ struct TrajectoryFingerprint {
 };
 
 // Squared distance of each element of `query` to the [lo, hi] envelope of
-// the other series — the degenerate whole-series LB_Keogh.  Bit-identical
-// to the bound the pre-candidate AG-TR prefilter computed.
+// the other series — the degenerate whole-series LB_Keogh.
 double envelope_bound(std::span<const double> query,
                       const SeriesProfile& candidate);
 

@@ -1,5 +1,6 @@
 #include "core/ag_tr.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -8,7 +9,6 @@
 #include "candidate/features.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "dtw/fastdtw.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
 
@@ -17,11 +17,6 @@ namespace sybiltd::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Row-major rank of the unordered pair (i, j), i < j, in [0, n*(n-1)/2).
-inline std::size_t pair_rank(std::size_t n, std::size_t i, std::size_t j) {
-  return i * n - i * (i + 1) / 2 + (j - i - 1);
-}
 
 // Registry mirror of AgTrStats, accumulated across every grouping pass so
 // pruning effectiveness shows up in obs::snapshot() even when callers do
@@ -55,10 +50,6 @@ struct AgTrMetrics {
     return metrics;
   }
 };
-
-// Outcome sentinel for pairs the evaluation never touched (empty series in
-// the all-pairs path); distinct from every CascadeOutcome value.
-constexpr std::uint8_t kSkipped = 0xff;
 
 }  // namespace
 
@@ -127,128 +118,77 @@ AccountGrouping AgTr::group(const FrameworkInput& input) const {
 
 AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
                                        AgTrStats* stats) const {
+  const double phi = options_.phi;
+  // Blocking sizes its grid cells by sqrt(phi): an infinite phi would
+  // emit nothing, and a NaN one admits no edge by any rule.
+  SYBILTD_CHECK(std::isfinite(phi), "AG-TR phi must be finite");
   const std::size_t n = input.accounts.size();
   if (n == 0) {
     if (stats != nullptr) *stats = AgTrStats{};
     return AccountGrouping::singletons(0);
   }
-  const double phi = options_.phi;
-
-  // The lower bounds hold for the accumulated squared cost; Eq. (7)'s
-  // path-length normalization breaks them, so that mode runs unpruned and
-  // without candidate generation (kAuto degrades silently; explicit kOn is
-  // a configuration error).
-  SYBILTD_CHECK(options_.mode == DtwMode::kTotalCost ||
-                    !options_.prune_with_lower_bound,
-                "lower-bound pruning requires total-cost DTW mode");
-  SYBILTD_CHECK(
-      options_.mode == DtwMode::kTotalCost ||
-          candidate::resolve_mode(options_.candidates.mode) !=
-              candidate::Mode::kOn,
-      "candidate generation requires total-cost DTW mode");
-  const bool use_candidates = options_.mode == DtwMode::kTotalCost &&
-                              candidate::enabled(options_.candidates, n);
 
   std::vector<std::vector<double>> xs(n), ys(n);
   for (std::size_t i = 0; i < n; ++i) {
     xs[i] = task_series(input.accounts[i]);
     ys[i] = timestamp_series(input.accounts[i]);
   }
-  const bool need_fingerprints =
-      use_candidates || options_.prune_with_lower_bound;
-  std::vector<candidate::TrajectoryFingerprint> fps(
-      need_fingerprints ? n : 0);
+  // The lower bounds hold for the accumulated squared cost only; Eq. (7)'s
+  // path-length normalization breaks them, so that mode visits every pair.
+  const bool bounded = options_.mode == DtwMode::kTotalCost;
+  std::vector<candidate::TrajectoryFingerprint> fps(bounded ? n : 0);
   for (std::size_t i = 0; i < fps.size(); ++i) {
     fps[i].task = candidate::profile_of(xs[i]);
     fps[i].time = candidate::profile_of(ys[i]);
   }
-  candidate::CascadeOptions cascade_options;
-  cascade_options.phi = phi;
-  cascade_options.dtw = options_.dtw;
-  cascade_options.approximate = options_.approximate;
-  cascade_options.fast_dtw = options_.fast_dtw;
-  const candidate::LbCascade cascade(xs, ys, fps, cascade_options);
+  const candidate::LbCascade cascade(
+      xs, ys, fps, candidate::CascadeOptions{.phi = phi, .dtw = options_.dtw});
 
-  auto pair_dtw = [&](const std::vector<double>& a,
-                      const std::vector<double>& b) {
-    if (options_.approximate) {
-      const auto r = dtw::fast_dtw(a, b, options_.fast_dtw);
-      return options_.mode == DtwMode::kTotalCost ? r.total_cost
-                                                  : r.distance;
-    }
-    return dtw_value(a, b);
-  };
-
-  graph::UndirectedGraph g(n);
-  candidate::CascadeStats cascade_stats;
   AgTrStats local;
   local.pairs = ThreadPool::pair_count(n);
-
-  if (use_candidates) {
-    // Generate-then-verify: the endpoint grid emits the only pairs that
-    // could have D < phi, in the same lexicographic (i, j) order the
-    // all-pairs loop visits — so the serial edge fold below builds the
-    // identical graph, and the grouping is bit-identical to exact mode.
-    candidate::BlockingStats blocking;
-    const std::vector<std::uint64_t> pairs =
-        candidate::endpoint_grid_candidates(fps, phi, &blocking);
-    local.candidates = pairs.size();
-    local.blocked = local.pairs - pairs.size();
-    std::vector<double> dissim(pairs.size(), kInf);
-    std::vector<std::uint8_t> outcome(pairs.size(), kSkipped);
-    parallel_for(pairs.size(), [&](std::size_t k) {
-      outcome[k] = static_cast<std::uint8_t>(
-          cascade.evaluate(candidate::pair_first(pairs[k]),
-                           candidate::pair_second(pairs[k]), &dissim[k]));
-    });
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      cascade_stats.count(static_cast<candidate::CascadeOutcome>(outcome[k]));
-      if (outcome[k] ==
-              static_cast<std::uint8_t>(candidate::CascadeOutcome::kExact) &&
-          dissim[k] < phi) {
-        g.add_edge(candidate::pair_first(pairs[k]),
-                   candidate::pair_second(pairs[k]), dissim[k]);
-      }
-    }
+  // Candidate pairs in lexicographic (i, j) order, so the serial edge fold
+  // below builds the same graph — and the same grouping — at every thread
+  // count.  Blocking emits only the pairs that could have D < phi.
+  std::vector<std::uint64_t> pairs;
+  if (bounded) {
+    pairs = candidate::endpoint_grid_candidates(fps, phi);
   } else {
-    // All-pairs evaluation (the pre-candidate code path).  One
-    // dissimilarity per unordered pair, written to a slot owned by the
-    // pair; kInf marks "no edge" (excluded, pruned, or >= phi).  The edge
-    // pass below is serial and in canonical order, so the graph — and the
-    // grouping — is identical at every thread count.
-    local.candidates = local.pairs;
-    std::vector<double> dissim(ThreadPool::pair_count(n), kInf);
-    std::vector<std::uint8_t> outcome(ThreadPool::pair_count(n), kSkipped);
-    parallel_pairwise(n, [&](std::size_t i, std::size_t j) {
-      const std::size_t rank = pair_rank(n, i, j);
-      if (options_.prune_with_lower_bound) {
-        // The staged cascade takes the same max-of-bounds decisions as the
-        // original single-shot prefilter, just cheapest-first.
-        outcome[rank] = static_cast<std::uint8_t>(
-            cascade.evaluate(i, j, &dissim[rank]));
-        return;
-      }
-      if (xs[i].empty() || xs[j].empty()) return;
-      const double task_d = pair_dtw(xs[i], xs[j]);
-      if (task_d >= phi) {  // the time term can only add
-        outcome[rank] = static_cast<std::uint8_t>(
-            candidate::CascadeOutcome::kTaskAbandoned);
-        return;
-      }
-      outcome[rank] =
-          static_cast<std::uint8_t>(candidate::CascadeOutcome::kExact);
-      dissim[rank] = task_d + pair_dtw(ys[i], ys[j]);
-    });
+    pairs.reserve(local.pairs);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        const std::size_t rank = pair_rank(n, i, j);
-        if (outcome[rank] != kSkipped) {
-          cascade_stats.count(
-              static_cast<candidate::CascadeOutcome>(outcome[rank]));
-        }
-        const double d = dissim[rank];
-        if (d < phi) g.add_edge(i, j, d);
+        pairs.push_back(candidate::pack_pair(i, j));
       }
+    }
+  }
+  local.candidates = pairs.size();
+  local.blocked = local.pairs - pairs.size();
+
+  using candidate::CascadeOutcome;
+  std::vector<double> dissim(pairs.size(), kInf);
+  std::vector<std::uint8_t> outcome(pairs.size());
+  parallel_for(pairs.size(), [&](std::size_t k) {
+    const std::size_t i = candidate::pair_first(pairs[k]);
+    const std::size_t j = candidate::pair_second(pairs[k]);
+    CascadeOutcome result;
+    if (bounded) {
+      result = cascade.evaluate(i, j, &dissim[k]);
+    } else if (xs[i].empty() || xs[j].empty()) {
+      result = CascadeOutcome::kEmptySeries;
+    } else if (const double task_d = dtw_value(xs[i], xs[j]); task_d >= phi) {
+      result = CascadeOutcome::kTaskAbandoned;  // the time term only adds
+    } else {
+      dissim[k] = task_d + dtw_value(ys[i], ys[j]);
+      result = CascadeOutcome::kExact;
+    }
+    outcome[k] = static_cast<std::uint8_t>(result);
+  });
+  graph::UndirectedGraph g(n);
+  candidate::CascadeStats cascade_stats;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    cascade_stats.count(static_cast<CascadeOutcome>(outcome[k]));
+    if (dissim[k] < phi) {
+      g.add_edge(candidate::pair_first(pairs[k]),
+                 candidate::pair_second(pairs[k]), dissim[k]);
     }
   }
 

@@ -12,14 +12,19 @@
 // 1 + 0.01 with hour-unit timestamps.  We default to the example's
 // total-cost mode (it reproduces Fig. 4 exactly) and expose Eq. (7)
 // normalization as an option for the ablation bench.
+//
+// Evaluation: in total-cost mode group() asks endpoint-grid blocking
+// (candidate/blocking.h) for the only pairs that could have D < phi and
+// runs each through the lower-bound cascade (candidate/cascade.h) before
+// the exact DP — the same edges as an all-pairs sweep, at every n (see
+// docs/GROUPING.md).  The bounds do not hold for Eq. (7), so that mode
+// evaluates every pair exactly.
 #pragma once
 
 #include <vector>
 
-#include "candidate/candidate.h"
 #include "core/grouping.h"
 #include "dtw/dtw.h"
-#include "dtw/fastdtw.h"
 
 namespace sybiltd::core {
 
@@ -29,41 +34,21 @@ enum class DtwMode {
 };
 
 struct AgTrOptions {
-  double phi = 1.0;  // edge threshold (paper's example value)
+  double phi = 1.0;  // edge threshold (paper's example value); finite
   DtwMode mode = DtwMode::kTotalCost;
   dtw::DtwOptions dtw;  // optional Sakoe–Chiba band
-  // Scalability knobs for large campaigns (group() only; the exposed
-  // dissimilarity_matrices() always computes exact full matrices):
-  // skip the exact DTW for pairs whose lower bound already reaches phi —
-  // exact pruning, identical grouping (total-cost mode).  The bound is the
-  // endpoint bound plus an LB_Keogh-style envelope bound: the true
-  // LB_Keogh under the configured band for equal-length series, and the
-  // degenerate whole-series envelope (valid for any lengths and any band)
-  // otherwise.
-  bool prune_with_lower_bound = false;
-  // Use FastDTW instead of the exact DP (approximate; total-cost mode).
-  bool approximate = false;
-  dtw::FastDtwOptions fast_dtw;
-  // Generate-then-verify candidate pairs (src/candidate/): an endpoint-grid
-  // blocking pass emits only pairs that could have D < phi, and the
-  // lower-bound cascade filters those before exact DTW.  Provably the same
-  // edge set — and the same grouping, bit for bit — as the all-pairs path
-  // in total-cost mode (see docs/GROUPING.md).  kAuto engages at
-  // min_accounts; SYBILTD_CANDIDATES=off|auto|on overrides.
-  candidate::Policy candidates;
 };
 
 // Counters from one group() run, for the scalability/parallel benches.
 // The funnel reads top to bottom: of `pairs` total, `blocked` never left
-// the blocking grid, `candidates` reached the cascade, the `*_pruned`
+// the blocking grid, `candidates` reached evaluation, the `*_pruned`
 // stages discarded their share, `task_abandoned` stopped after one DP, and
-// `exact_pairs` ran both.  With candidates off, candidates == pairs and the
-// per-stage counters are only populated when the prefilter runs.
+// `exact_pairs` ran both.  Eq. (7) mode blocks and prunes nothing.
 struct AgTrStats {
   std::size_t pairs = 0;           // unordered pairs considered
   std::size_t blocked = 0;         // excluded by endpoint-grid blocking
-  std::size_t candidates = 0;      // pairs evaluated by the cascade
-  std::size_t lb_pruned = 0;       // excluded by the lower-bound prefilter
+  std::size_t candidates = 0;      // pairs evaluated
+  std::size_t lb_pruned = 0;       // excluded by the lower-bound cascade
   std::size_t endpoint_pruned = 0;  //   ... at the O(1) endpoint stage
   std::size_t envelope_pruned = 0;  //   ... at the envelope stage
   std::size_t keogh_pruned = 0;     //   ... at the strict LB_Keogh stage
@@ -77,9 +62,9 @@ class AgTr final : public AccountGrouper {
   std::string name() const override { return "AG-TR"; }
   AccountGrouping group(const FrameworkInput& input) const override;
 
-  // group() plus pruning counters (stats may be null).  The pairwise stage
+  // group() plus funnel counters (stats may be null).  The pairwise stage
   // runs on the shared ThreadPool; the grouping is identical at every
-  // concurrency, and identical with pruning on or off (total-cost mode).
+  // concurrency.  Throws std::invalid_argument unless phi is finite.
   AccountGrouping group_with_stats(const FrameworkInput& input,
                                    AgTrStats* stats) const;
 

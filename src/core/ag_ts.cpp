@@ -112,11 +112,9 @@ AccountGrouping AgTs::group_with_stats(const FrameworkInput& input,
   if (stats != nullptr) stats->pairs = ThreadPool::pair_count(n);
 
   // The sparse join's candidate generation leans on the necessity
-  // T > 2L  ⇔  Jaccard > 2/3 for a positive affinity; a negative rho can
-  // admit edges with arbitrarily low Jaccard, so it stays dense.
-  const bool use_sparse =
-      rho >= 0.0 && candidate::enabled(options_.candidates, n);
-  if (!use_sparse) {
+  // T > 2L  ⇔  Jaccard > 2/3 for a non-negative affinity; a negative rho
+  // can admit edges with arbitrarily low Jaccard, so it stays dense.
+  if (rho < 0.0) {
     metrics.dense_groupings.inc();
     const auto affinities = affinity_matrix(input);
     const auto g = graph::threshold_graph(

@@ -6,15 +6,13 @@
 // either did alone) and m is the task count.  Accounts are nodes of a graph
 // with edges where A > rho; connected components become groups.
 //
-// Two evaluation strategies produce that graph:
-//   * dense — the n x n affinity matrix (exposed for the Fig. 3 bench), the
-//     paper-verbatim path and the only valid one for rho < 0;
-//   * sparse (candidate::sparse_affinity_edges) — for the non-negative
-//     thresholds used in practice an edge needs T > 2L, i.e. Jaccard
-//     similarity above 2/3, so identical-set collapse + MinHash LSH +
-//     exact verification finds the same components without ever
-//     materializing a dense matrix.  Engaged per the candidate policy
-//     (kAuto at min_accounts; SYBILTD_CANDIDATES overrides).
+// The threshold picks the evaluation:
+//   * rho >= 0 — an edge needs T > 2L, i.e. Jaccard similarity above 2/3,
+//     so candidate::sparse_affinity_edges (identical-set collapse +
+//     candidate pairs + exact verification) finds the components without
+//     ever materializing a dense matrix;
+//   * rho < 0 — that necessity fails, so the n x n affinity matrix (also
+//     exposed for the Fig. 3 bench) is thresholded directly.
 //
 // NOTE on the paper's worked example (Table III / Fig. 3): by Eq. (6) as
 // printed, A(1,4') = A(1,3) = (3-2)(3+1)/4 = 1 — the two pairs are
@@ -28,7 +26,6 @@
 
 #include <vector>
 
-#include "candidate/candidate.h"
 #include "candidate/setjoin.h"
 #include "core/grouping.h"
 
@@ -36,11 +33,7 @@ namespace sybiltd::core {
 
 struct AgTsOptions {
   double rho = 1.0;  // edge threshold (paper's example value)
-  // Sparse-path policy; the dense matrix is only ever built when this says
-  // off, the campaign is small, or rho < 0 (where the sparse necessity
-  // argument J > 2/3 does not hold).
-  candidate::Policy candidates;
-  candidate::SetJoinOptions set_join;
+  candidate::SetJoinOptions set_join;  // sparse path (rho >= 0) only
 };
 
 // Counters from one group() run, for the scalability bench.

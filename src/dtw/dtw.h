@@ -6,7 +6,7 @@
 //     DTW(A, B) = sqrt( sum of squared distances along the optimal path / K )
 // where K is the path length.  This file provides the full O(mn) dynamic
 // program, an optional Sakoe–Chiba band constraint, warping-path recovery,
-// and a z-normalized variant.
+// a z-normalized variant, and the lower bounds AG-TR's cascade prunes with.
 #pragma once
 
 #include <cstddef>
@@ -51,5 +51,19 @@ double dtw_total_cost(std::span<const double> a, std::span<const double> b,
 double dtw_distance_znorm(std::span<const double> a,
                           std::span<const double> b,
                           const DtwOptions& options = {});
+
+// LB_Keogh (Keogh & Ratanamahatana 2005): a lower bound on the *total
+// squared cost* of any band-constrained warping of `candidate` onto
+// `query`.  Requires equal lengths; band is the Sakoe–Chiba half-width
+// used for the bound's envelope.
+double lb_keogh(std::span<const double> query,
+                std::span<const double> candidate, std::size_t band);
+
+// A cheaper, unconditional lower bound on the unconstrained DTW total
+// cost: every warping path must align the first elements and the last
+// elements, so (a0-b0)^2 + (a_end-b_end)^2 can never be beaten (for
+// length >= 2 on both sides; singletons contribute the single alignment).
+double endpoint_lower_bound(std::span<const double> a,
+                            std::span<const double> b);
 
 }  // namespace sybiltd::dtw

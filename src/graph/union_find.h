@@ -1,6 +1,6 @@
-// Disjoint-set union with path compression and union by size.
-// An alternative component finder to DFS, used by tests as an independent
-// oracle and available to callers merging grouping results incrementally.
+// Disjoint-set union with path compression and union by size: the
+// component finder behind graph::IncrementalComponents and AG-COMBO's
+// join, and the grouping oracles in tests/ and bench/.
 #pragma once
 
 #include <cstddef>

@@ -6,9 +6,7 @@
 #include <string>
 
 #include "common/error.h"
-#include "core/ag_ts.h"
 #include "core/data_grouping.h"
-#include "graph/union_find.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -36,11 +34,6 @@ struct PipelineMetrics {
       "pipeline.batches", "micro-batches processed");
   obs::Counter& regroups = obs::MetricsRegistry::global().counter(
       "pipeline.regroups", "incremental grouping rebuilds");
-  obs::Counter& regroups_incremental = obs::MetricsRegistry::global().counter(
-      "pipeline.regroups.incremental",
-      "regroups that only re-derived the edges of dirty accounts");
-  obs::Counter& regroups_full = obs::MetricsRegistry::global().counter(
-      "pipeline.regroups.full", "regroups that rebuilt from every pair");
   obs::Counter& regroup_uf_rebuilds = obs::MetricsRegistry::global().counter(
       "pipeline.regroups.uf_rebuilds",
       "union-find rebuilds forced by edge removals on the incremental path");
@@ -218,46 +211,27 @@ const core::AccountGrouping& CampaignState::grouping() {
   const std::size_t n = observations_.size();
   span.arg("accounts", static_cast<double>(n));
   auto& metrics = PipelineMetrics::get();
-  if (n == 0) {
-    grouping_ = core::AccountGrouping::singletons(0);
-  } else if (candidate::enabled(options_->candidates, n)) {
-    // Lazy path: only accounts whose task set changed since the last
-    // incremental regroup can have different affinity edges (a report only
-    // mutates its own account's row of the index), so re-deriving those
-    // accounts' neighbours and handing them to IncrementalComponents
-    // reproduces the full rebuild's partition — and its canonical labels.
-    span.arg("dirty", static_cast<double>(dirty_list_.size()));
-    components_.resize(n);
-    std::sort(dirty_list_.begin(), dirty_list_.end());
-    std::vector<std::uint32_t> neighbors;
-    for (std::uint32_t a : dirty_list_) {
-      task_sets_.neighbors(a, options_->rho, neighbors);
-      components_.set_neighbors(a, neighbors);
-      dirty_account_[a] = 0;
-    }
-    dirty_list_.clear();
-    grouping_ = core::AccountGrouping::from_labels(components_.labels());
-    metrics.regroups_incremental.inc();
-    const std::uint64_t rebuilds = components_.rebuilds();
-    metrics.regroup_uf_rebuilds.inc(rebuilds - component_rebuilds_seen_);
-    component_rebuilds_seen_ = rebuilds;
-  } else {
-    graph::UnionFind components(n);
-    for (std::size_t i = 1; i < n; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        if (core::AgTs::affinity(task_sets_.both(i, j),
-                                 task_sets_.alone(i, j),
-                                 task_count_) > options_->rho) {
-          components.unite(i, j);
-        }
-      }
-    }
-    grouping_ = core::AccountGrouping::from_labels(components.labels());
-    metrics.regroups_full.inc();
+  // Only accounts whose task set changed since the last regroup can have
+  // different affinity edges (a report only mutates its own account's row
+  // of the index), so re-deriving those accounts' neighbours and handing
+  // them to IncrementalComponents yields the partition of the whole
+  // affinity > rho graph, in canonical labels.
+  span.arg("dirty", static_cast<double>(dirty_list_.size()));
+  components_.resize(n);
+  std::sort(dirty_list_.begin(), dirty_list_.end());
+  for (std::uint32_t a : dirty_list_) {
+    task_sets_.neighbors(a, options_->rho, neighbors_);
+    components_.set_neighbors(a, neighbors_);
+    dirty_account_[a] = 0;
   }
+  dirty_list_.clear();
+  grouping_ = core::AccountGrouping::from_labels(components_.labels());
+  const std::uint64_t rebuilds = components_.rebuilds();
+  metrics.regroup_uf_rebuilds.inc(rebuilds - component_rebuilds_seen_);
+  component_rebuilds_seen_ = rebuilds;
   grouping_dirty_ = false;
   counters_->regroups.fetch_add(1, std::memory_order_relaxed);
-  PipelineMetrics::get().regroups.inc();
+  metrics.regroups.inc();
   return grouping_;
 }
 

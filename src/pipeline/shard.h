@@ -16,10 +16,9 @@
 //     exists and memory stays linear in accounts plus observations,
 //   * the connected-component grouping over the affinity > rho graph,
 //     rebuilt lazily only when some report changed a task-set membership:
-//     under the candidate policy the dirty accounts' edges are re-derived
-//     from the index (prefix-filtered posting lists for rho >= 0) and fed
-//     to graph::IncrementalComponents; otherwise a union-find over every
-//     pair's popcounts,
+//     the dirty accounts' edges are re-derived from the index (prefix-
+//     filtered posting lists for rho >= 0) and fed to
+//     graph::IncrementalComponents,
 //   * warm CRH truth state at the group granularity, refined a few
 //     iterations per micro-batch the way truth::OnlineCrh refines per
 //     observation.
@@ -51,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "candidate/candidate.h"
 #include "candidate/task_set_index.h"
 #include "core/framework.h"
 #include "core/grouping.h"
@@ -82,15 +80,6 @@ struct ShardOptions {
   // Eq. 3/4 aggregation and convergence configuration shared with the
   // batch framework.
   core::FrameworkOptions framework;
-  // Incremental-regroup policy: once a campaign reaches
-  // candidates.min_accounts (or always under kOn; SYBILTD_CANDIDATES
-  // overrides), regrouping only re-derives the edges of accounts dirtied
-  // since the last regroup, each from TaskSetIndex::neighbors (for
-  // rho >= 0 only the posting lists of its first |T| - floor(2|T|/3)
-  // tasks are probed; rho < 0 verifies every account), and hands them to
-  // graph::IncrementalComponents.  Off rebuilds a union-find over every
-  // pair's popcounts (O(n²)); both produce the same labels.
-  candidate::Policy candidates;
 };
 
 // Monotonic work counters, aggregated across a shard's campaigns.  Atomics
@@ -180,12 +169,14 @@ class CampaignState {
   core::AccountGrouping grouping_;
   bool grouping_dirty_ = false;
   // Lazy-regroup bookkeeping: accounts whose affinity row changed since the
-  // incremental component structure last consumed them.  The bits are only
-  // cleared by the incremental path, so a campaign that crosses the policy
-  // threshold (or an env flip) hands the structure a complete backlog.
+  // last regroup.  Regrouping only re-derives these accounts' edges, each
+  // from TaskSetIndex::neighbors (for rho >= 0 only the posting lists of
+  // its first |T| - floor(2|T|/3) tasks are probed; rho < 0 verifies every
+  // account), and hands them to components_.
   std::vector<std::uint8_t> dirty_account_;
   std::vector<std::uint32_t> dirty_list_;
   graph::IncrementalComponents components_;
+  std::vector<std::uint32_t> neighbors_;  // regroup scratch
   std::uint64_t component_rebuilds_seen_ = 0;
 
   std::vector<double> truths_;         // warm CRH state, per task

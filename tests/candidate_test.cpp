@@ -1,13 +1,14 @@
 // Tests for the candidate-generation layer (src/candidate/): endpoint-grid
 // blocking exactness, the lower-bound cascade, the sparse AG-TS set join,
-// the incremental component tracker, and the SYBILTD_CANDIDATES escape
-// hatch — in particular the recall properties the docs promise: AG-TR
-// candidate mode is bit-identical to exact grouping, and AG-TS sparse mode
-// reproduces the dense partition on seed-scale scenarios.
+// the incremental component tracker and the streaming regroup — in
+// particular the recall properties the docs promise, checked against the
+// all-pairs oracles in grouping_oracles.h: AgTr::group is bit-identical to
+// the Eq. (8) edge fold, and AgTs and the shard's regroup reproduce the
+// dense Eq. (6) partition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <random>
 #include <set>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "candidate/blocking.h"
-#include "candidate/candidate.h"
 #include "candidate/cascade.h"
 #include "candidate/features.h"
 #include "candidate/setjoin.h"
@@ -24,10 +24,10 @@
 #include "core/ag_ts.h"
 #include "core/ag_auto.h"
 #include "dtw/dtw.h"
-#include "dtw/fastdtw.h"
 #include "eval/adapters.h"
 #include "graph/incremental.h"
 #include "graph/union_find.h"
+#include "grouping_oracles.h"
 #include "mcs/scenario.h"
 #include "pipeline/shard.h"
 
@@ -40,63 +40,6 @@ core::FrameworkInput scenario_input(std::size_t legit, std::size_t attackers,
   const auto data = mcs::generate_scenario(mcs::make_large_scenario(
       legit, attackers, accounts_per_attacker, tasks, seed));
   return eval::to_framework_input(data);
-}
-
-// RAII environment override so a throwing test cannot leak the variable
-// into its neighbors.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_value_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-// --- Policy ----------------------------------------------------------------
-
-TEST(CandidatePolicy, AutoEngagesAtThreshold) {
-  candidate::Policy policy;
-  policy.min_accounts = 100;
-  EXPECT_FALSE(candidate::enabled(policy, 99));
-  EXPECT_TRUE(candidate::enabled(policy, 100));
-  policy.mode = candidate::Mode::kOn;
-  EXPECT_TRUE(candidate::enabled(policy, 0));
-  policy.mode = candidate::Mode::kOff;
-  EXPECT_FALSE(candidate::enabled(policy, 1u << 20));
-}
-
-TEST(CandidatePolicy, EnvOverridesConfiguredMode) {
-  candidate::Policy on;
-  on.mode = candidate::Mode::kOn;
-  {
-    ScopedEnv env("SYBILTD_CANDIDATES", "off");
-    EXPECT_FALSE(candidate::enabled(on, 1u << 20));
-  }
-  candidate::Policy off;
-  off.mode = candidate::Mode::kOff;
-  {
-    ScopedEnv env("SYBILTD_CANDIDATES", "on");
-    EXPECT_TRUE(candidate::enabled(off, 1));
-  }
-  {
-    ScopedEnv env("SYBILTD_CANDIDATES", "banana");
-    EXPECT_THROW(candidate::resolve_mode(candidate::Mode::kAuto),
-                 std::invalid_argument);
-  }
 }
 
 // --- Blocking --------------------------------------------------------------
@@ -191,18 +134,14 @@ TEST(LbCascade, PrunesOnlyPairsBeyondPhiAndReturnsExactValues) {
   EXPECT_EQ(stats.evaluated, n * (n - 1) / 2);
 }
 
-// --- AG-TR candidate mode --------------------------------------------------
+// --- AG-TR -----------------------------------------------------------------
 
 TEST(AgTrCandidates, GroupingBitIdenticalToExactAllPairs) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 11ull}) {
     const auto input = scenario_input(40, 4, 5, 20, seed);
-    core::AgTrOptions exact_opt;  // all-pairs, no pruning
-    core::AgTrOptions cand_opt;
-    cand_opt.candidates.mode = candidate::Mode::kOn;
     core::AgTrStats stats;
-    const auto exact = core::AgTr(exact_opt).group(input);
-    const auto cand =
-        core::AgTr(cand_opt).group_with_stats(input, &stats);
+    const auto exact = oracle::agtr_all_pairs(input);
+    const auto cand = core::AgTr().group_with_stats(input, &stats);
     // Bit-identical, not merely equivalent: same groups, same member
     // order, same labels (the candidate edge fold replays the all-pairs
     // insertion order).
@@ -213,12 +152,65 @@ TEST(AgTrCandidates, GroupingBitIdenticalToExactAllPairs) {
   }
 }
 
+// Short random trajectories whose dissimilarities straddle phi, so edges
+// sit next to every cell boundary and cascade bound: any over-pruning
+// changes the grouping.  The band exercises the strict LB_Keogh stage.
+TEST(AgTrCandidates, RandomTrajectoriesNearPhiMatchAllPairs) {
+  std::mt19937_64 rng(2024);
+  std::uniform_int_distribution<std::size_t> length(1, 4);
+  std::uniform_int_distribution<std::size_t> task(0, 2);
+  std::uniform_real_distribution<double> hour(0.0, 3.0);
+  for (int trial = 0; trial < 8; ++trial) {
+    core::FrameworkInput input;
+    input.task_count = 3;
+    input.accounts.resize(80);
+    for (auto& account : input.accounts) {
+      std::vector<double> hours(length(rng));
+      for (double& h : hours) h = hour(rng);
+      std::sort(hours.begin(), hours.end());
+      for (const double h : hours) {
+        account.reports.push_back({task(rng), -60.0, h});
+      }
+    }
+    for (const std::size_t band : {0ul, 1ul}) {
+      core::AgTrOptions opt;
+      opt.dtw.band = band;
+      const auto exact = oracle::agtr_all_pairs(input, opt);
+      const auto grouping = core::AgTr(opt).group(input);
+      EXPECT_EQ(exact.labels(), grouping.labels())
+          << "trial " << trial << " band " << band;
+      EXPECT_EQ(exact.groups(), grouping.groups())
+          << "trial " << trial << " band " << band;
+      // Neither one giant component nor all singletons.
+      EXPECT_GT(exact.group_count(), 10u);
+      EXPECT_LT(exact.group_count(), 70u);
+    }
+  }
+}
+
+// Eq. (7) mode skips blocking and the cascade (the bounds do not hold for
+// the path-normalized distance) and must still equal the all-pairs fold.
+TEST(AgTrCandidates, PathNormalizedModeMatchesAllPairs) {
+  for (std::uint64_t seed : {1ull, 2ull}) {
+    const auto input = scenario_input(40, 4, 5, 20, seed);
+    core::AgTrOptions opt;
+    opt.mode = core::DtwMode::kPathNormalized;
+    opt.phi = 0.3;
+    core::AgTrStats stats;
+    const auto grouping = core::AgTr(opt).group_with_stats(input, &stats);
+    const auto exact = oracle::agtr_all_pairs(input, opt);
+    EXPECT_EQ(exact.labels(), grouping.labels()) << "seed " << seed;
+    EXPECT_EQ(exact.groups(), grouping.groups()) << "seed " << seed;
+    EXPECT_EQ(stats.blocked, 0u);
+    EXPECT_EQ(stats.lb_pruned, 0u);
+    EXPECT_LT(exact.group_count(), input.accounts.size());
+  }
+}
+
 TEST(AgTrCandidates, FunnelCountersAreConsistent) {
   const auto input = scenario_input(50, 5, 4, 25, 5);
-  core::AgTrOptions opt;
-  opt.candidates.mode = candidate::Mode::kOn;
   core::AgTrStats stats;
-  (void)core::AgTr(opt).group_with_stats(input, &stats);
+  (void)core::AgTr().group_with_stats(input, &stats);
   EXPECT_EQ(stats.lb_pruned,
             stats.endpoint_pruned + stats.envelope_pruned +
                 stats.keogh_pruned);
@@ -226,46 +218,44 @@ TEST(AgTrCandidates, FunnelCountersAreConsistent) {
                                   stats.exact_pairs);
 }
 
-TEST(AgTrCandidates, ExplicitOnRequiresTotalCostMode) {
-  core::AgTrOptions opt;
-  opt.mode = core::DtwMode::kPathNormalized;
-  opt.candidates.mode = candidate::Mode::kOn;
-  const auto input = scenario_input(10, 1, 2, 10, 3);
-  EXPECT_THROW(core::AgTr(opt).group(input), std::invalid_argument);
-}
+// --- AG-TS -----------------------------------------------------------------
 
-// --- AG-TS sparse mode -----------------------------------------------------
+// Thresholds covering the dense path (rho < 0), the paper's positive-
+// affinity rule (rho = 0) and its example value (rho = 1).
+constexpr double kAgTsRhos[] = {-0.5, 0.0, 1.0};
 
 TEST(AgTsSparse, MatchesDensePartitionOnScenarios) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 11ull}) {
     const auto input = scenario_input(40, 4, 5, 20, seed);
-    core::AgTsOptions dense_opt;  // kAuto stays dense at this size
-    core::AgTsOptions sparse_opt;
-    sparse_opt.candidates.mode = candidate::Mode::kOn;
-    core::AgTsStats stats;
-    const auto dense = core::AgTs(dense_opt).group(input);
-    const auto sparse =
-        core::AgTs(sparse_opt).group_with_stats(input, &stats);
-    EXPECT_TRUE(stats.sparse);
-    EXPECT_TRUE(stats.join.exhaustive);  // few distinct sets at this scale
-    EXPECT_EQ(dense.labels(), sparse.labels()) << "seed " << seed;
+    for (const double rho : kAgTsRhos) {
+      core::AgTsOptions opt;
+      opt.rho = rho;
+      core::AgTsStats stats;
+      const auto grouping = core::AgTs(opt).group_with_stats(input, &stats);
+      EXPECT_EQ(stats.sparse, rho >= 0.0);
+      // Few distinct sets at this scale: the exhaustive tier runs.
+      EXPECT_EQ(stats.join.exhaustive, stats.sparse);
+      EXPECT_EQ(grouping.labels(), oracle::agts_dense_labels(input, rho))
+          << "seed " << seed << " rho " << rho;
+    }
   }
 }
 
 TEST(AgTsSparse, LshTierMatchesDenseOnScenarios) {
   for (std::uint64_t seed : {1ull, 2ull, 7ull}) {
     const auto input = scenario_input(60, 6, 4, 24, seed);
-    core::AgTsOptions dense_opt;
-    core::AgTsOptions lsh_opt;
-    lsh_opt.candidates.mode = candidate::Mode::kOn;
-    lsh_opt.set_join.exact_distinct_cap = 0;  // force the MinHash tier
-    core::AgTsStats stats;
-    const auto dense = core::AgTs(dense_opt).group(input);
-    const auto sparse =
-        core::AgTs(lsh_opt).group_with_stats(input, &stats);
-    EXPECT_TRUE(stats.sparse);
-    EXPECT_FALSE(stats.join.exhaustive);
-    EXPECT_EQ(dense.labels(), sparse.labels()) << "seed " << seed;
+    for (const double rho : kAgTsRhos) {
+      core::AgTsOptions lsh_opt;
+      lsh_opt.rho = rho;
+      lsh_opt.set_join.exact_distinct_cap = 0;  // force the MinHash tier
+      core::AgTsStats stats;
+      const auto grouping =
+          core::AgTs(lsh_opt).group_with_stats(input, &stats);
+      EXPECT_EQ(stats.sparse, rho >= 0.0);
+      EXPECT_FALSE(stats.join.exhaustive);
+      EXPECT_EQ(grouping.labels(), oracle::agts_dense_labels(input, rho))
+          << "seed " << seed << " rho " << rho;
+    }
   }
 }
 
@@ -273,7 +263,6 @@ TEST(AgTsSparse, NegativeRhoKeepsDensePath) {
   const auto input = scenario_input(20, 2, 3, 12, 9);
   core::AgTsOptions opt;
   opt.rho = -0.5;
-  opt.candidates.mode = candidate::Mode::kOn;
   core::AgTsStats stats;
   (void)core::AgTs(opt).group_with_stats(input, &stats);
   EXPECT_FALSE(stats.sparse) << "rho < 0 must stay dense";
@@ -389,20 +378,14 @@ TEST(UnionFind, GrowAddsIsolatedElements) {
 // --- Pipeline lazy regroup -------------------------------------------------
 
 TEST(PipelineIncrementalRegroup, MatchesFullRegroupUnderChurnAndDecay) {
-  pipeline::ShardOptions incremental_options;
-  incremental_options.candidates.mode = candidate::Mode::kOn;
-  incremental_options.decay = 0.9;  // force evictions → edge removals
-  incremental_options.influence_floor = 1e-2;
-  pipeline::ShardOptions full_options = incremental_options;
-  full_options.candidates.mode = candidate::Mode::kOff;
+  pipeline::ShardOptions options;
+  options.decay = 0.9;  // force evictions → edge removals
+  options.influence_floor = 1e-2;
 
   const std::size_t kTasks = 12;
-  pipeline::SnapshotCell cell_a, cell_b;
-  pipeline::ShardCounters counters_a, counters_b;
-  pipeline::CampaignState incremental(0, kTasks, &incremental_options,
-                                      &cell_a, &counters_a);
-  pipeline::CampaignState full(0, kTasks, &full_options, &cell_b,
-                               &counters_b);
+  pipeline::SnapshotCell cell;
+  pipeline::ShardCounters counters;
+  pipeline::CampaignState state(0, kTasks, &options, &cell, &counters);
 
   std::mt19937_64 rng(77);
   std::uniform_int_distribution<std::size_t> account(0, 39);
@@ -415,35 +398,16 @@ TEST(PipelineIncrementalRegroup, MatchesFullRegroupUnderChurnAndDecay) {
     report.task = task(rng);
     report.value = value(rng);
     report.timestamp_hours = step * 0.01;
-    incremental.apply(report);
-    full.apply(report);
-    if (step % 20 == 19) {
-      incremental.evict_stale();
-      full.evict_stale();
-    }
+    state.apply(report);
+    if (step % 20 == 19) state.evict_stale();
     if (step % 5 == 4) {
-      EXPECT_EQ(incremental.grouping().labels(), full.grouping().labels())
+      // The full regroup: the dense Eq. (6) partition of the live view.
+      EXPECT_EQ(state.grouping().labels(),
+                oracle::agts_dense_labels(state.as_framework_input(),
+                                          options.rho))
           << "step " << step;
     }
   }
-}
-
-TEST(PipelineIncrementalRegroup, EscapeHatchForcesFullPath) {
-  ScopedEnv env("SYBILTD_CANDIDATES", "off");
-  pipeline::ShardOptions options;
-  options.candidates.mode = candidate::Mode::kOn;  // env wins
-  pipeline::SnapshotCell cell;
-  pipeline::ShardCounters counters;
-  pipeline::CampaignState state(0, 4, &options, &cell, &counters);
-  pipeline::Report report;
-  report.campaign = 0;
-  report.account = 0;
-  report.task = 1;
-  report.value = 1.0;
-  state.apply(report);
-  // With the env off, grouping uses the historical full-rebuild path; the
-  // result is the same partition either way — this pins the routing.
-  EXPECT_EQ(state.grouping().group_count(), 1u);
 }
 
 // --- Task-set index and the streaming regroup ------------------------------
@@ -553,91 +517,89 @@ TEST(TaskSetIndex, ValidatesArguments) {
   EXPECT_THROW(index.erase(2, 7), std::logic_error);
 }
 
-// The shard's streaming regroup (incremental under kOn, full rebuild under
-// kOff) against batch AG-TS on the live view, and its FIFO eviction against
-// a brute-force scan of every live slot, under churn with upserts.
+// The shard's streaming regroup against batch AG-TS and the dense Eq. (6)
+// oracle on the live view, and its FIFO eviction against a brute-force scan
+// of every live slot, under churn with upserts.
 TEST(PipelineIncrementalRegroup, MatchesBatchAgTsAndEvictionOracle) {
   for (const std::size_t m : kIndexTaskCounts) {
     for (const double rho : kIndexRhos) {
-      for (const candidate::Mode mode :
-           {candidate::Mode::kOn, candidate::Mode::kOff}) {
-        pipeline::ShardOptions options;
-        options.rho = rho;
-        options.decay = 0.99;
-        options.influence_floor = 1e-2;  // a horizon of 458 arrivals
-        options.candidates.mode = mode;
-        pipeline::SnapshotCell cell;
-        pipeline::ShardCounters counters;
-        pipeline::CampaignState state(0, m, &options, &cell, &counters);
-        const core::AgTs batch(core::AgTsOptions{
-            .rho = rho,
-            .candidates = {.mode = candidate::Mode::kOff},
-            .set_join = {}});
+      pipeline::ShardOptions options;
+      options.rho = rho;
+      options.decay = 0.99;
+      options.influence_floor = 1e-2;  // a horizon of 458 arrivals
+      pipeline::SnapshotCell cell;
+      pipeline::ShardCounters counters;
+      pipeline::CampaignState state(0, m, &options, &cell, &counters);
+      core::AgTsOptions batch_options;
+      batch_options.rho = rho;
+      const core::AgTs batch(batch_options);
 
-        // Oracle: (account, task) -> arrival step of the live copy, and the
-        // step the copy first arrived (an upsert moves only the former).
-        std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> born;
-        std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> first;
-        std::size_t kept_by_upsert = 0;
-        std::size_t merged = 0;  // checks where some group has two accounts
-        std::uint64_t step = 0;
-        std::mt19937_64 rng(31 * m + static_cast<std::uint64_t>(rho * 8 + 8));
-        std::uniform_int_distribution<std::size_t> account(0, 11);
-        std::uniform_int_distribution<std::size_t> offset(0, 11);
-        for (int i = 0; i < 1200; ++i) {
-          pipeline::Report report;
-          report.campaign = 0;
-          report.account = account(rng);
-          // Sybil-like accounts (multiples of 4) share one band of 12
-          // tasks, so groups form at every threshold; few accounts over
-          // narrow bands keep the upsert rate high.
-          const std::size_t base =
-              report.account % 4 == 0 ? 0 : report.account;
-          report.task = (base * 5 + offset(rng)) % m;
-          report.value = static_cast<double>(i);
-          state.apply(report);
-          ++step;
-          const auto key = std::make_pair(report.account, report.task);
-          if (born.count(key) == 0) first[key] = step;
-          born[key] = step;
+      // Oracle: (account, task) -> arrival step of the live copy, and the
+      // step the copy first arrived (an upsert moves only the former).
+      std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> born;
+      std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> first;
+      std::size_t kept_by_upsert = 0;
+      std::size_t merged = 0;  // checks where some group has two accounts
+      std::uint64_t step = 0;
+      std::mt19937_64 rng(31 * m + static_cast<std::uint64_t>(rho * 8 + 8));
+      std::uniform_int_distribution<std::size_t> account(0, 11);
+      std::uniform_int_distribution<std::size_t> offset(0, 11);
+      for (int i = 0; i < 1200; ++i) {
+        pipeline::Report report;
+        report.campaign = 0;
+        report.account = account(rng);
+        // Sybil-like accounts (multiples of 4) share one band of 12
+        // tasks, so groups form at every threshold; few accounts over
+        // narrow bands keep the upsert rate high.
+        const std::size_t base =
+            report.account % 4 == 0 ? 0 : report.account;
+        report.task = (base * 5 + offset(rng)) % m;
+        report.value = static_cast<double>(i);
+        state.apply(report);
+        ++step;
+        const auto key = std::make_pair(report.account, report.task);
+        if (born.count(key) == 0) first[key] = step;
+        born[key] = step;
 
-          if (i % 9 != 8) continue;
-          state.evict_stale();
-          const auto decayed = [&](std::uint64_t at) {
-            return std::pow(options.decay, static_cast<double>(step - at)) <
-                   options.influence_floor;
-          };
-          for (auto it = born.begin(); it != born.end();) {
-            if (decayed(it->second)) {
-              first.erase(it->first);
-              it = born.erase(it);
-            } else {
-              if (decayed(first[it->first])) ++kept_by_upsert;
-              ++it;
-            }
+        if (i % 9 != 8) continue;
+        state.evict_stale();
+        const auto decayed = [&](std::uint64_t at) {
+          return std::pow(options.decay, static_cast<double>(step - at)) <
+                 options.influence_floor;
+        };
+        for (auto it = born.begin(); it != born.end();) {
+          if (decayed(it->second)) {
+            first.erase(it->first);
+            it = born.erase(it);
+          } else {
+            if (decayed(first[it->first])) ++kept_by_upsert;
+            ++it;
           }
-          const core::FrameworkInput view = state.as_framework_input();
-          std::map<std::pair<std::size_t, std::size_t>, double> live;
-          for (std::size_t a = 0; a < view.accounts.size(); ++a) {
-            for (const auto& r : view.accounts[a].reports) {
-              live[{a, r.task}] = r.value;
-            }
-          }
-          ASSERT_EQ(live.size(), born.size()) << "step " << step;
-          ASSERT_EQ(state.live_observations(), born.size());
-          for (const auto& [key, at] : born) {
-            ASSERT_EQ(live.count(key), 1u)
-                << "account " << key.first << " task " << key.second;
-            // Values are the arrival index, so this pins last-write-wins.
-            EXPECT_EQ(live[key], static_cast<double>(at - 1));
-          }
-          ASSERT_EQ(state.grouping().labels(), batch.group(view).labels())
-              << "m " << m << " rho " << rho << " step " << step;
-          if (state.grouping().group_count() < view.accounts.size()) ++merged;
         }
-        EXPECT_GT(kept_by_upsert, 0u) << "m " << m << " rho " << rho;
-        EXPECT_GT(merged, 0u) << "m " << m << " rho " << rho;
+        const core::FrameworkInput view = state.as_framework_input();
+        std::map<std::pair<std::size_t, std::size_t>, double> live;
+        for (std::size_t a = 0; a < view.accounts.size(); ++a) {
+          for (const auto& r : view.accounts[a].reports) {
+            live[{a, r.task}] = r.value;
+          }
+        }
+        ASSERT_EQ(live.size(), born.size()) << "step " << step;
+        ASSERT_EQ(state.live_observations(), born.size());
+        for (const auto& [key, at] : born) {
+          ASSERT_EQ(live.count(key), 1u)
+              << "account " << key.first << " task " << key.second;
+          // Values are the arrival index, so this pins last-write-wins.
+          EXPECT_EQ(live[key], static_cast<double>(at - 1));
+        }
+        const std::vector<std::size_t> labels = state.grouping().labels();
+        ASSERT_EQ(labels, batch.group(view).labels())
+            << "m " << m << " rho " << rho << " step " << step;
+        ASSERT_EQ(labels, oracle::agts_dense_labels(view, rho))
+            << "m " << m << " rho " << rho << " step " << step;
+        if (state.grouping().group_count() < view.accounts.size()) ++merged;
       }
+      EXPECT_GT(kept_by_upsert, 0u) << "m " << m << " rho " << rho;
+      EXPECT_GT(merged, 0u) << "m " << m << " rho " << rho;
     }
   }
 }
@@ -648,7 +610,6 @@ TEST(PipelineIncrementalRegroup, MatchesBatchAgTsAndEvictionOracle) {
 TEST(PipelineIncrementalRegroup, UnreportedAccountsJoinAtNegativeRho) {
   pipeline::ShardOptions options;
   options.rho = -0.5;
-  options.candidates.mode = candidate::Mode::kOn;
   pipeline::SnapshotCell cell;
   pipeline::ShardCounters counters;
   pipeline::CampaignState state(0, 12, &options, &cell, &counters);
@@ -658,47 +619,6 @@ TEST(PipelineIncrementalRegroup, UnreportedAccountsJoinAtNegativeRho) {
   // A(empty, account 3) = -2 * 4^2 / 12 < -0.5: account 3 stays alone.
   EXPECT_EQ(state.grouping().labels(),
             std::vector<std::size_t>({0, 0, 0, 1}));
-}
-
-// --- Escape hatch ----------------------------------------------------------
-
-TEST(EscapeHatch, OffReproducesPrePrGroupingBitIdentically) {
-  const auto input = scenario_input(40, 4, 5, 20, 2);
-  // Reference: the all-pairs paths, taken because the default kAuto policy
-  // stays off below min_accounts — this is the pre-candidate behavior.
-  const auto agtr_ref = core::AgTr().group(input);
-  core::AgTrOptions tr_pruned;
-  tr_pruned.prune_with_lower_bound = true;
-  const auto agtr_pruned_ref = core::AgTr(tr_pruned).group(input);
-  const auto agts_ref = core::AgTs().group(input);
-
-  ScopedEnv env("SYBILTD_CANDIDATES", "off");
-  // Even with the policy forced on, the env escape hatch must route every
-  // method through the legacy code and reproduce it bit for bit.
-  core::AgTrOptions tr_on;
-  tr_on.candidates.mode = candidate::Mode::kOn;
-  core::AgTrStats tr_stats;
-  const auto agtr_off =
-      core::AgTr(tr_on).group_with_stats(input, &tr_stats);
-  EXPECT_EQ(tr_stats.blocked, 0u);
-  EXPECT_EQ(tr_stats.candidates, tr_stats.pairs);
-  EXPECT_EQ(agtr_ref.labels(), agtr_off.labels());
-  EXPECT_EQ(agtr_ref.groups(), agtr_off.groups());
-
-  core::AgTrOptions tr_on_pruned = tr_on;
-  tr_on_pruned.prune_with_lower_bound = true;
-  const auto agtr_off_pruned = core::AgTr(tr_on_pruned).group(input);
-  EXPECT_EQ(agtr_pruned_ref.labels(), agtr_off_pruned.labels());
-  EXPECT_EQ(agtr_pruned_ref.groups(), agtr_off_pruned.groups());
-
-  core::AgTsOptions ts_on;
-  ts_on.candidates.mode = candidate::Mode::kOn;
-  core::AgTsStats ts_stats;
-  const auto agts_off =
-      core::AgTs(ts_on).group_with_stats(input, &ts_stats);
-  EXPECT_FALSE(ts_stats.sparse);
-  EXPECT_EQ(agts_ref.labels(), agts_off.labels());
-  EXPECT_EQ(agts_ref.groups(), agts_off.groups());
 }
 
 }  // namespace

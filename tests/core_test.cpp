@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "core/ag_fp.h"
@@ -11,7 +12,9 @@
 #include "core/ag_ts.h"
 #include "core/data_grouping.h"
 #include "core/framework.h"
+#include "eval/adapters.h"
 #include "eval/paper_example.h"
+#include "mcs/scenario.h"
 
 namespace sybiltd::core {
 namespace {
@@ -204,6 +207,22 @@ TEST(AgTr, PathNormalizedModeStillIsolatesSybilGroup) {
   EXPECT_EQ(grouping.group_of(3), grouping.group_of(4));
   EXPECT_EQ(grouping.group_of(4), grouping.group_of(5));
   EXPECT_NE(grouping.group_of(0), grouping.group_of(3));
+}
+
+// Blocking sizes its grid by sqrt(phi), so an infinite phi would silently
+// emit no pairs (60 singletons here, where every pair is an edge); a
+// non-finite threshold is rejected instead.
+TEST(AgTr, RejectsNonFinitePhi) {
+  const auto input = eval::to_framework_input(mcs::generate_scenario(
+      mcs::make_large_scenario(40, 4, 5, 20, 1)));
+  for (const double phi : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    AgTrOptions options;
+    options.phi = phi;
+    EXPECT_THROW(AgTr(options).group(input), std::invalid_argument);
+    options.mode = DtwMode::kPathNormalized;
+    EXPECT_THROW(AgTr(options).group(input), std::invalid_argument);
+  }
 }
 
 TEST(AgTr, AccountWithoutReportsBecomesSingleton) {

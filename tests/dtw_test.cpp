@@ -328,5 +328,74 @@ TEST_P(DtwLowerBound, NeverExceedsLockStepCost) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DtwLowerBound,
                          ::testing::Values(100, 101, 102, 103, 104, 105));
 
+// --- Lower bounds (AG-TR's pruning cascade) --------------------------------
+
+class LbKeoghBound : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Property: LB_Keogh never exceeds the banded DTW total cost.
+TEST_P(LbKeoghBound, IsALowerBoundOnBandedDtw) {
+  Rng rng(GetParam());
+  const std::size_t n = 32;
+  std::vector<double> a(n), b(n);
+  for (auto& v : a) v = rng.uniform(-2, 2);
+  for (auto& v : b) v = rng.uniform(-2, 2);
+  for (std::size_t band : {1ul, 3ul, 8ul}) {
+    const double bound = lb_keogh(a, b, band);
+    DtwOptions opt;
+    opt.band = band;
+    const double exact = dtw_full(a, b, opt).total_cost;
+    EXPECT_LE(bound, exact + 1e-9) << "band " << band;
+    EXPECT_GE(bound, 0.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LbKeoghBound,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(LbKeogh, ZeroForSeriesInsideEnvelope) {
+  const std::vector<double> a{0, 0, 0, 0};
+  const std::vector<double> b{1, -1, 1, -1};
+  // Query constant 0 always lies within [min, max] of any window of b.
+  EXPECT_EQ(lb_keogh(a, b, 1), 0.0);
+}
+
+TEST(LbKeogh, PositiveForSeparatedSeries) {
+  const std::vector<double> a{5, 5, 5, 5};
+  const std::vector<double> b{0, 0, 0, 0};
+  EXPECT_NEAR(lb_keogh(a, b, 1), 4 * 25.0, 1e-12);
+}
+
+TEST(LbKeogh, ValidatesInput) {
+  const std::vector<double> a{1, 2};
+  const std::vector<double> b{1};
+  EXPECT_THROW(lb_keogh(a, b, 1), std::invalid_argument);
+  EXPECT_THROW(lb_keogh({}, {}, 1), std::invalid_argument);
+}
+
+// Property: the endpoint bound never exceeds the unconstrained DTW total
+// cost, at any pair of lengths (singletons included).
+TEST(EndpointLowerBound, NeverExceedsDtwTotalCost) {
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> a(1 + trial % 7), b(1 + (trial / 7) % 5);
+    for (auto& v : a) v = rng.uniform(-3, 3);
+    for (auto& v : b) v = rng.uniform(-3, 3);
+    const double bound = endpoint_lower_bound(a, b);
+    EXPECT_LE(bound, dtw_total_cost(a, b) + 1e-12) << "trial " << trial;
+    EXPECT_GE(bound, 0.0);
+  }
+}
+
+TEST(EndpointLowerBound, CountsFirstAndLastAlignment) {
+  const std::vector<double> a{0, 9, 1};
+  const std::vector<double> b{2, 4};
+  EXPECT_EQ(endpoint_lower_bound(a, b), 4.0 + 9.0);
+  // Two singletons share one alignment: the single term is not doubled.
+  EXPECT_EQ(endpoint_lower_bound(std::vector<double>{3},
+                                 std::vector<double>{1}),
+            4.0);
+  EXPECT_THROW(endpoint_lower_bound({}, b), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace sybiltd::dtw

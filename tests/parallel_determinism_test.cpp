@@ -20,6 +20,7 @@
 #include "core/framework.h"
 #include "eval/adapters.h"
 #include "eval/experiment.h"
+#include "grouping_oracles.h"
 #include "mcs/scenario.h"
 #include "simd/simd.h"
 
@@ -75,23 +76,20 @@ TEST_F(ParallelDeterminismTest, AgTrGroupingAndMatrices) {
 }
 
 TEST_F(ParallelDeterminismTest, AgTrPrunedMatchesAtBothSizes) {
-  core::AgTrOptions options;
-  options.prune_with_lower_bound = true;
-  const core::AgTr pruned(options);
+  const core::AgTr grouper;
   core::AgTrStats stats1, stats8;
   ThreadPool::set_global_concurrency(1);
-  const auto g1 = pruned.group_with_stats(*input_, &stats1);
+  const auto g1 = grouper.group_with_stats(*input_, &stats1);
   ThreadPool::set_global_concurrency(8);
-  const auto g8 = pruned.group_with_stats(*input_, &stats8);
+  const auto g8 = grouper.group_with_stats(*input_, &stats8);
   EXPECT_EQ(g1.labels(), g8.labels());
-  // The prefilter decision per pair depends only on the pair, so the
-  // counters match too.
+  // Blocking and the cascade decide per pair, so the counters match too.
+  EXPECT_EQ(stats1.blocked, stats8.blocked);
   EXPECT_EQ(stats1.lb_pruned, stats8.lb_pruned);
   EXPECT_EQ(stats1.task_abandoned, stats8.task_abandoned);
   EXPECT_EQ(stats1.exact_pairs, stats8.exact_pairs);
   // And pruning never changes the grouping.
-  const auto exact = core::AgTr().group(*input_);
-  EXPECT_EQ(g8.labels(), exact.labels());
+  EXPECT_EQ(g8.labels(), oracle::agtr_all_pairs(*input_).labels());
 }
 
 TEST_F(ParallelDeterminismTest, AgTsAffinityAndGrouping) {

@@ -1,48 +1,34 @@
-// Tests for the AG-TR scalability options (lower-bound pruning, FastDTW)
-// and the large-scenario generator.
+// Tests for AG-TR's pruned evaluation at scale and the large-scenario
+// generator.
 #include <gtest/gtest.h>
 
 #include "core/ag_tr.h"
 #include "eval/adapters.h"
+#include "grouping_oracles.h"
 #include "ml/clustering_metrics.h"
 #include "mcs/scenario.h"
 
 namespace sybiltd::core {
 namespace {
 
+// Under a Sakoe–Chiba band the cascade's strict LB_Keogh stage runs too;
+// the grouping must still equal the unpruned all-pairs fold.
 TEST(AgTrScalable, PrunedGroupingIdenticalToExact) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const auto data = mcs::generate_scenario(
         mcs::make_large_scenario(40, 4, 5, 20, seed));
     const auto input = eval::to_framework_input(data);
-    AgTrOptions pruned_opt;
-    pruned_opt.prune_with_lower_bound = true;
-    const auto exact = AgTr().group(input);
-    const auto pruned = AgTr(pruned_opt).group(input);
-    EXPECT_EQ(exact.labels(), pruned.labels()) << "seed " << seed;
+    for (const std::size_t band : {0ul, 2ul}) {
+      AgTrOptions opt;
+      opt.dtw.band = band;
+      const auto exact = oracle::agtr_all_pairs(input, opt);
+      const auto pruned = AgTr(opt).group(input);
+      EXPECT_EQ(exact.labels(), pruned.labels())
+          << "seed " << seed << " band " << band;
+      EXPECT_EQ(exact.groups(), pruned.groups())
+          << "seed " << seed << " band " << band;
+    }
   }
-}
-
-TEST(AgTrScalable, FastDtwGroupingAgreesOnPaperScenario) {
-  const auto data =
-      mcs::generate_scenario(mcs::make_paper_scenario(0.5, 0.8, 5));
-  const auto input = eval::to_framework_input(data);
-  AgTrOptions fast_opt;
-  fast_opt.approximate = true;
-  const auto exact = AgTr().group(input);
-  const auto fast = AgTr(fast_opt).group(input);
-  EXPECT_NEAR(ml::adjusted_rand_index(exact.labels(), fast.labels()), 1.0,
-              1e-9);
-}
-
-TEST(AgTrScalable, PruningRequiresTotalCostMode) {
-  AgTrOptions opt;
-  opt.prune_with_lower_bound = true;
-  opt.mode = DtwMode::kPathNormalized;
-  const auto data =
-      mcs::generate_scenario(mcs::make_paper_scenario(0.5, 0.5, 6));
-  const auto input = eval::to_framework_input(data);
-  EXPECT_THROW(AgTr(opt).group(input), std::invalid_argument);
 }
 
 TEST(LargeScenario, StructureMatchesParameters) {
@@ -73,9 +59,7 @@ TEST(LargeScenario, AgTrStillSeparatesAttackers) {
   const auto data = mcs::generate_scenario(
       mcs::make_large_scenario(30, 3, 5, 20, 12));
   const auto input = eval::to_framework_input(data);
-  AgTrOptions opt;
-  opt.prune_with_lower_bound = true;
-  const auto grouping = AgTr(opt).group(input);
+  const auto grouping = AgTr().group(input);
   const double ari = ml::adjusted_rand_index(grouping.labels(),
                                              data.true_user_labels());
   EXPECT_GT(ari, 0.8);
