@@ -53,6 +53,8 @@ REQUIRED_COUNTERS = {
 }
 REQUIRED_HISTOGRAMS = {
     "pipeline.batch_us",
+    "pipeline.regroup_us",
+    "pipeline.refine_us",
     "framework.iterations",
     "framework.final_residual",
     "threadpool.task_run_us",

@@ -102,6 +102,12 @@ void attach_simd_level(benchmark::State& state) {
       static_cast<double>(static_cast<int>(simd::active_level()));
 }
 
+void attach_alloc_count(benchmark::State& state, std::uint64_t allocs) {
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs),
+                         benchmark::Counter::kAvgIterations);
+}
+
 void BM_FftPowerOfTwo(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto x = random_series(n, 1);
@@ -354,6 +360,50 @@ void BM_CrhIterate(benchmark::State& state) {
 }
 BENCHMARK(BM_CrhIterate);
 
+// Eqs. (3)-(4) alone.  Arg 2000: the campaign_stream shape — 2,000
+// accounts over 64 tasks, about seven tasks each, 10% of them Sybil
+// accounts in groups of five sharing one schedule.  Arg 10000: 10^4
+// singleton accounts at the same density.  `allocs_per_op` is the heap
+// allocations per call once the workspace pool is warm; the CI perf-smoke
+// job holds it under a constant that does not depend on size.
+void BM_GroupData(benchmark::State& state) {
+  constexpr std::size_t kTasks = 64;
+  constexpr double kDensity = 0.11;
+  const auto accounts = static_cast<std::size_t>(state.range(0));
+  const bool sybil_groups = accounts == 2000;
+  Rng rng(16);
+  core::FrameworkInput input;
+  input.task_count = kTasks;
+  input.accounts.resize(accounts);
+  std::vector<std::size_t> labels(accounts);
+  const std::size_t sybils = sybil_groups ? accounts / 10 : 0;
+  for (std::size_t i = 0; i < accounts; ++i) {
+    auto& reports = input.accounts[i].reports;
+    if (i < sybils && i % 5 != 0) {
+      reports = input.accounts[i - i % 5].reports;  // replay the schedule
+      for (auto& r : reports) r.value = -50.0 + rng.uniform(-0.5, 0.5);
+    } else {
+      for (std::size_t j = 0; j < kTasks; ++j) {
+        if (rng.bernoulli(kDensity)) {
+          reports.push_back({j, rng.uniform(-90, -50), static_cast<double>(j)});
+        }
+      }
+    }
+    labels[i] = i < sybils ? i / 5 : sybils / 5 + (i - sybils);
+  }
+  const auto grouping = core::AccountGrouping::from_labels(labels);
+  benchmark::DoNotOptimize(core::group_data(input, grouping));  // warm pool
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  for (auto _ : state) {
+    const core::GroupedData grouped = core::group_data(input, grouping);
+    benchmark::DoNotOptimize(grouped.value.data());
+  }
+  g_alloc_tracking.store(false, std::memory_order_relaxed);
+  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+}
+BENCHMARK(BM_GroupData)->Arg(2000)->Arg(10000)->Unit(benchmark::kMicrosecond);
+
 void BM_AgFp(benchmark::State& state) {
   const auto input = eval::to_framework_input(shared_scenario());
   for (auto _ : state) {
@@ -540,11 +590,6 @@ std::string decode_bench_body() {
   return body;
 }
 
-void attach_alloc_count(benchmark::State& state, std::uint64_t allocs) {
-  state.counters["allocs_per_op"] =
-      benchmark::Counter(static_cast<double>(allocs),
-                         benchmark::Counter::kAvgIterations);
-}
 
 void BM_ReportDecodeFast(benchmark::State& state) {
   const std::string body = decode_bench_body();

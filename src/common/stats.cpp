@@ -96,16 +96,41 @@ RunningMoments accumulate(std::span<const double> xs) {
   for (double x : xs) m.add(x);
   return m;
 }
+
+// The mean and m2 updates of RunningMoments::add alone: the same operations
+// in the same order, so the results equal accumulate(xs) to the bit, at a
+// fraction of the cost (the Eq. 3 aggregate and the CRH normalizers call
+// these once per cell and per task).
+struct MeanM2 {
+  double mean = 0.0;
+  double m2 = 0.0;
+};
+MeanM2 accumulate_mean_m2(std::span<const double> xs) {
+  MeanM2 out;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double n1 = static_cast<double>(i);
+    const double delta = xs[i] - out.mean;
+    const double delta_n = delta / static_cast<double>(i + 1);
+    out.mean += delta_n;
+    out.m2 += delta * delta_n * n1;
+  }
+  return out;
+}
 }  // namespace
 
-double mean(std::span<const double> xs) { return accumulate(xs).mean(); }
+double mean(std::span<const double> xs) {
+  return xs.empty() ? 0.0 : accumulate_mean_m2(xs).mean;
+}
 double variance(std::span<const double> xs) {
-  return accumulate(xs).variance();
+  return xs.empty() ? 0.0
+                    : accumulate_mean_m2(xs).m2 / static_cast<double>(xs.size());
 }
 double sample_variance(std::span<const double> xs) {
-  return accumulate(xs).sample_variance();
+  return xs.size() > 1 ? accumulate_mean_m2(xs).m2 /
+                             static_cast<double>(xs.size() - 1)
+                       : 0.0;
 }
-double stddev(std::span<const double> xs) { return accumulate(xs).stddev(); }
+double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 double skewness(std::span<const double> xs) {
   return accumulate(xs).skewness();
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "core/data_grouping.h"
 #include "truth/categorical.h"
 
 namespace sybiltd::core {
@@ -11,13 +12,6 @@ namespace sybiltd::core {
 namespace {
 
 using truth::kNoLabel;
-
-// One group's presence on one task: plurality label + Eq. (4) weight.
-struct GroupDatum {
-  std::size_t group = 0;
-  std::size_t label = 0;
-  double initial_weight = 0.0;
-};
 
 std::size_t to_label(double value, std::size_t label_count) {
   const double rounded = std::round(value);
@@ -44,51 +38,47 @@ CategoricalFrameworkResult run_categorical_framework(
   result.labels.assign(n_tasks, kNoLabel);
   result.group_weights.assign(n_groups, 1.0);
 
-  // --- data grouping: per (task, group) label votes -----------------------
-  std::vector<std::vector<std::vector<double>>> votes(
-      n_tasks, std::vector<std::vector<double>>(n_groups));
-  std::vector<std::size_t> submitters(n_tasks, 0);
-  for (std::size_t i = 0; i < input.accounts.size(); ++i) {
-    const std::size_t k = grouping.group_of(i);
-    for (const auto& report : input.accounts[i].reports) {
-      SYBILTD_CHECK(report.task < n_tasks, "report task out of range");
-      if (votes[report.task][k].empty()) {
-        votes[report.task][k].assign(label_count, 0.0);
-      }
-      votes[report.task][k][to_label(report.value, label_count)] += 1.0;
-      ++submitters[report.task];
-    }
-  }
-
-  std::vector<std::vector<GroupDatum>> per_task(n_tasks);
-  std::vector<std::vector<std::size_t>> tasks_of_group(n_groups);
+  // --- data grouping: each (task, group) run's plurality label ----------
+  // Cells of task j are [cell_begin[j], cell_begin[j + 1]) in group order,
+  // exactly as core::group_data lays out the numeric framework's cells.
+  const auto flat = flatten_reports(input);
+  const CellSortedReports sorted =
+      sort_reports_by_cell(n_tasks, flat.span(), grouping);
+  std::vector<std::size_t> cell_begin(n_tasks + 1, 0);
+  std::vector<std::uint32_t> cell_group;
+  std::vector<std::size_t> cell_label;
+  std::vector<double> cell_weight;
+  std::vector<std::size_t> group_task_count(n_groups, 0);
+  std::vector<double> tally(label_count);
   for (std::size_t j = 0; j < n_tasks; ++j) {
-    for (std::size_t k = 0; k < n_groups; ++k) {
-      if (votes[j][k].empty()) continue;
-      GroupDatum datum;
-      datum.group = k;
+    cell_begin[j] = cell_group.size();
+    const std::size_t end = sorted.task_begin[j + 1];
+    const double submitters =
+        static_cast<double>(end - sorted.task_begin[j]);
+    for (std::size_t i = sorted.task_begin[j]; i < end;) {
+      const std::uint32_t k = sorted.group[i];
+      std::fill(tally.begin(), tally.end(), 0.0);
       double members = 0.0;
-      std::size_t best = 0;
-      for (std::size_t l = 0; l < label_count; ++l) {
-        members += votes[j][k][l];
-        if (votes[j][k][l] > votes[j][k][best]) best = l;
+      for (; i < end && sorted.group[i] == k; ++i) {
+        tally[to_label(sorted.value[i], label_count)] += 1.0;
+        members += 1.0;
       }
-      datum.label = best;
-      const double w =
-          1.0 - members / static_cast<double>(submitters[j]);  // Eq. (4)
-      datum.initial_weight = std::max(w, options.weight_floor);
-      per_task[j].push_back(datum);
-      tasks_of_group[k].push_back(j);
+      cell_group.push_back(k);
+      cell_label.push_back(static_cast<std::size_t>(
+          std::max_element(tally.begin(), tally.end()) - tally.begin()));
+      const double w = 1.0 - members / submitters;  // Eq. (4)
+      cell_weight.push_back(std::max(w, options.weight_floor));
+      ++group_task_count[k];
     }
   }
+  cell_begin[n_tasks] = cell_group.size();
 
   // --- initialization: Eq. (4)-weighted plurality over groups -------------
   for (std::size_t j = 0; j < n_tasks; ++j) {
-    if (per_task[j].empty()) continue;
-    std::vector<double> tally(label_count, 0.0);
-    for (const auto& datum : per_task[j]) {
-      tally[datum.label] += options.init_with_eq4 ? datum.initial_weight
-                                                  : 1.0;
+    if (cell_begin[j] == cell_begin[j + 1]) continue;
+    std::fill(tally.begin(), tally.end(), 0.0);
+    for (std::size_t c = cell_begin[j]; c < cell_begin[j + 1]; ++c) {
+      tally[cell_label[c]] += options.init_with_eq4 ? cell_weight[c] : 1.0;
     }
     result.labels[j] = static_cast<std::size_t>(
         std::max_element(tally.begin(), tally.end()) - tally.begin());
@@ -102,17 +92,17 @@ CategoricalFrameworkResult run_categorical_framework(
     double total = 0.0;
     for (std::size_t j = 0; j < n_tasks; ++j) {
       if (result.labels[j] == kNoLabel) continue;
-      for (const auto& datum : per_task[j]) {
-        if (datum.label != result.labels[j]) errors[datum.group] += 1.0;
+      for (std::size_t c = cell_begin[j]; c < cell_begin[j + 1]; ++c) {
+        if (cell_label[c] != result.labels[j]) errors[cell_group[c]] += 1.0;
       }
     }
     for (std::size_t k = 0; k < n_groups; ++k) {
-      if (tasks_of_group[k].empty()) continue;
+      if (group_task_count[k] == 0) continue;
       errors[k] = std::max(errors[k], options.error_epsilon);
       total += errors[k];
     }
     for (std::size_t k = 0; k < n_groups; ++k) {
-      if (tasks_of_group[k].empty()) {
+      if (group_task_count[k] == 0) {
         result.group_weights[k] = 0.0;
       } else {
         result.group_weights[k] = std::log(total / errors[k]);
@@ -122,10 +112,10 @@ CategoricalFrameworkResult run_categorical_framework(
     // Weighted plurality over groups.
     bool changed = false;
     for (std::size_t j = 0; j < n_tasks; ++j) {
-      if (per_task[j].empty()) continue;
-      std::vector<double> tally(label_count, 0.0);
-      for (const auto& datum : per_task[j]) {
-        tally[datum.label] += result.group_weights[datum.group];
+      if (cell_begin[j] == cell_begin[j + 1]) continue;
+      std::fill(tally.begin(), tally.end(), 0.0);
+      for (std::size_t c = cell_begin[j]; c < cell_begin[j + 1]; ++c) {
+        tally[cell_label[c]] += result.group_weights[cell_group[c]];
       }
       const auto next = static_cast<std::size_t>(
           std::max_element(tally.begin(), tally.end()) - tally.begin());

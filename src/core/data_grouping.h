@@ -28,8 +28,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/workspace.h"
 #include "core/framework_input.h"
 #include "core/grouping.h"
 
@@ -54,35 +56,67 @@ struct DataGroupingOptions {
   double weight_floor = 1e-3;
 };
 
-// One group's presence on one task.
-struct GroupTaskDatum {
-  std::size_t group = 0;
-  double value = 0.0;          // d~_j^k from Eq. (3)
-  double initial_weight = 0.0; // Eq. (4), used by the Eq. (5) initialization
-  std::size_t member_count = 0;  // members of the group reporting this task
+// One report of the flat grouping input.  A span of these lists every
+// account's reports in account order — the order of FrameworkInput.
+struct GroupingReport {
+  std::uint32_t account = 0;
+  std::uint32_t task = 0;
+  double value = 0.0;
 };
 
+// The grouped data as one compressed-sparse-row table over tasks.  A cell
+// is a (task, group) pair with at least one report; the cells of task j
+// are [task_begin[j], task_begin[j + 1]) in ascending group order, so
+// `value.data() + task_begin[j]` is task j's contiguous value row for the
+// SIMD kernels.
 struct GroupedData {
-  // per_task[j] lists the groups reporting task j with their aggregates.
-  std::vector<std::vector<GroupTaskDatum>> per_task;
-  // tasks_of_group[k] = sorted task ids the group covers (T~_k).
-  std::vector<std::vector<std::size_t>> tasks_of_group;
-  // Structure-of-arrays mirrors of per_task for the contiguous SIMD
-  // kernels: per_task_values[j][i] == per_task[j][i].value and
-  // per_task_groups[j][i] == per_task[j][i].group.  group_data fills
-  // them; build_soa() rebuilds them after manual edits to per_task.
-  std::vector<std::vector<double>> per_task_values;
-  std::vector<std::vector<std::uint32_t>> per_task_groups;
+  std::vector<std::size_t> task_begin;      // task_count() + 1 offsets
+  std::vector<std::uint32_t> group;         // per cell: group k
+  std::vector<double> value;                // per cell: d~_j^k (Eq. 3)
+  std::vector<double> initial_weight;       // per cell: Eq. (4) weight
+  std::vector<std::uint32_t> member_count;  // per cell: members reporting
+  std::vector<std::uint32_t> group_task_count;  // per group: |T~_k|
 
-  void build_soa();
+  std::size_t task_count() const {
+    return task_begin.empty() ? 0 : task_begin.size() - 1;
+  }
+  std::size_t group_count() const { return group_task_count.size(); }
+  std::size_t cell_count() const { return group.size(); }
+  std::size_t task_width(std::size_t j) const {
+    return task_begin[j + 1] - task_begin[j];
+  }
 };
 
 // Aggregate values with the configured intra-group aggregator.
-double aggregate_group_values(const std::vector<double>& values,
+double aggregate_group_values(std::span<const double> values,
                               const DataGroupingOptions& options);
 
-// Build the grouped view of the input under a grouping (Algorithm 2,
-// lines 2–6).
+// The reports of `input` in account order, as the flat grouping input.
+// Checks that every task is below input.task_count and that ids fit in 32
+// bits.  Storage is borrowed from the calling thread's workspace.
+Workspace::Borrowed<GroupingReport> flatten_reports(const FrameworkInput& input);
+
+// Reports reordered by (task, group), each (task, group) run in input
+// order: the cells of Algorithm 2, lines 2–6, before aggregation.  Built by
+// two stable counting sorts (by group, then by task) in O(reports + tasks
+// + groups); storage is borrowed from the calling thread's workspace.
+struct CellSortedReports {
+  Workspace::Borrowed<std::size_t> task_begin;  // task_count + 1 offsets
+  Workspace::Borrowed<std::uint32_t> group;
+  Workspace::Borrowed<double> value;
+};
+CellSortedReports sort_reports_by_cell(std::size_t task_count,
+                                       std::span<const GroupingReport> reports,
+                                       const AccountGrouping& grouping);
+
+// Build the grouped view of the reports under a grouping (Algorithm 2,
+// lines 2–6).  Each cell's values are aggregated in input order.
+GroupedData group_data(std::size_t task_count,
+                       std::span<const GroupingReport> reports,
+                       const AccountGrouping& grouping,
+                       const DataGroupingOptions& options = {});
+
+// The same over a FrameworkInput (flattened with flatten_reports).
 GroupedData group_data(const FrameworkInput& input,
                        const AccountGrouping& grouping,
                        const DataGroupingOptions& options = {});

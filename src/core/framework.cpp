@@ -58,16 +58,15 @@ double group_weight_entropy(std::span<const double> weights) {
 // baseline's std-normalized loss.
 std::vector<double> framework_task_normalizers(const GroupedData& grouped,
                                                std::size_t task_count) {
-  SYBILTD_CHECK(grouped.per_task.size() == task_count,
+  SYBILTD_CHECK(grouped.task_count() == task_count,
                 "grouped data does not match the task count");
-  SYBILTD_CHECK(grouped.per_task_values.size() == task_count,
-                "grouped data is missing its SoA mirrors (build_soa)");
   std::vector<double> norm(task_count, 1.0);
-  // The SoA value mirror is already contiguous, so no per-task copy.
+  // Each task's values are already one contiguous row, so no copy.
   for (std::size_t j = 0; j < task_count; ++j) {
-    const auto& values = grouped.per_task_values[j];
-    if (values.size() >= 2) {
-      const double sd = stddev(values);
+    const std::size_t width = grouped.task_width(j);
+    if (width >= 2) {
+      const double sd = stddev(std::span<const double>(
+          grouped.value.data() + grouped.task_begin[j], width));
       if (sd > 1e-12) norm[j] = sd;
     }
   }
@@ -77,14 +76,15 @@ std::vector<double> framework_task_normalizers(const GroupedData& grouped,
 std::vector<double> framework_initial_truths(const GroupedData& grouped,
                                              std::size_t task_count,
                                              bool init_with_eq5) {
-  SYBILTD_CHECK(grouped.per_task.size() == task_count,
+  SYBILTD_CHECK(grouped.task_count() == task_count,
                 "grouped data does not match the task count");
   std::vector<double> truths(task_count, nan_value());
   for (std::size_t j = 0; j < task_count; ++j) {
     double num = 0.0, den = 0.0;
-    for (const auto& datum : grouped.per_task[j]) {
-      const double w = init_with_eq5 ? datum.initial_weight : 1.0;
-      num += w * datum.value;
+    for (std::size_t c = grouped.task_begin[j]; c < grouped.task_begin[j + 1];
+         ++c) {
+      const double w = init_with_eq5 ? grouped.initial_weight[c] : 1.0;
+      num += w * grouped.value[c];
       den += w;
     }
     if (den > 0.0) truths[j] = num / den;
@@ -96,19 +96,19 @@ double framework_iterate_once(const GroupedData& grouped,
                               const std::vector<double>& normalizers,
                               double loss_epsilon, std::vector<double>& truths,
                               std::vector<double>& group_weights) {
-  const std::size_t n_tasks = grouped.per_task.size();
-  const std::size_t n_groups = grouped.tasks_of_group.size();
+  const std::size_t n_tasks = grouped.task_count();
+  const std::size_t n_groups = grouped.group_count();
   SYBILTD_CHECK(truths.size() == n_tasks,
                 "truth vector does not match the grouped data");
   SYBILTD_CHECK(normalizers.size() == n_tasks,
                 "normalizers do not match the grouped data");
-  SYBILTD_CHECK(grouped.per_task_values.size() == n_tasks,
-                "grouped data is missing its SoA mirrors (build_soa)");
 
   const auto& kernels = simd::kernels();
+  const double* values = grouped.value.data();
+  const std::uint32_t* groups = grouped.group.data();
   std::size_t max_task_width = 0;
-  for (const auto& values : grouped.per_task_values) {
-    max_task_width = std::max(max_task_width, values.size());
+  for (std::size_t j = 0; j < n_tasks; ++j) {
+    max_task_width = std::max(max_task_width, grouped.task_width(j));
   }
 
   // Group weight estimation: W over the group's aggregated residuals.
@@ -125,16 +125,16 @@ double framework_iterate_once(const GroupedData& grouped,
   double total_loss = 0.0;
   for (std::size_t j = 0; j < n_tasks; ++j) {
     if (std::isnan(truths[j])) continue;
-    const auto& values = grouped.per_task_values[j];
-    const auto& groups = grouped.per_task_groups[j];
-    kernels.residual_sq(values.data(), values.size(), truths[j],
-                        normalizers[j], residuals);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      losses[groups[i]] += residuals[i];
+    const std::size_t begin = grouped.task_begin[j];
+    const std::size_t width = grouped.task_width(j);
+    kernels.residual_sq(values + begin, width, truths[j], normalizers[j],
+                        residuals);
+    for (std::size_t i = 0; i < width; ++i) {
+      losses[groups[begin + i]] += residuals[i];
     }
   }
   for (std::size_t k = 0; k < n_groups; ++k) {
-    if (grouped.tasks_of_group[k].empty()) {
+    if (grouped.group_task_count[k] == 0) {
       losses[k] = 0.0;
       continue;
     }
@@ -143,7 +143,7 @@ double framework_iterate_once(const GroupedData& grouped,
   }
   group_weights.assign(n_groups, 0.0);
   for (std::size_t k = 0; k < n_groups; ++k) {
-    if (grouped.tasks_of_group[k].empty()) {
+    if (grouped.group_task_count[k] == 0) {
       group_weights[k] = 0.0;
     } else {
       group_weights[k] = std::log(total_loss / losses[k]);
@@ -161,11 +161,10 @@ double framework_iterate_once(const GroupedData& grouped,
   double* den = den_storage.data();
   std::span<double> next_truths = next_storage.span();
   for (std::size_t j = 0; j < n_tasks; ++j) {
-    const auto& values = grouped.per_task_values[j];
-    kernels.weighted_sum_gather(values.data(),
-                                grouped.per_task_groups[j].data(),
-                                group_weights.data(), values.size(), &num[j],
-                                &den[j]);
+    const std::size_t begin = grouped.task_begin[j];
+    kernels.weighted_sum_gather(values + begin, groups + begin,
+                                group_weights.data(), grouped.task_width(j),
+                                &num[j], &den[j]);
   }
   kernels.safe_divide(num, den, n_tasks, next_truths.data());
 

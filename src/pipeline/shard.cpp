@@ -43,6 +43,13 @@ struct PipelineMetrics {
       "pipeline.publications", "campaign snapshots published");
   obs::Histogram& batch_us = obs::MetricsRegistry::global().histogram(
       "pipeline.batch_us", "micro-batch processing latency (us)");
+  obs::Histogram& regroup_us = obs::MetricsRegistry::global().histogram(
+      "pipeline.regroup_us",
+      "regroup of one touched campaign per micro-batch (us)");
+  obs::Histogram& refine_us = obs::MetricsRegistry::global().histogram(
+      "pipeline.refine_us",
+      "warm CRH refine of one touched campaign per micro-batch, before "
+      "publish (us)");
   obs::Histogram& queue_wait_us = obs::MetricsRegistry::global().histogram(
       "pipeline.queue_wait_us",
       "time the oldest report of each micro-batch spent in a shard queue "
@@ -80,6 +87,11 @@ struct PipelineMetrics {
 obs::LogRateLimiter& pipeline_warn_limiter() {
   static obs::LogRateLimiter limiter(/*per_second=*/10.0, /*burst=*/20.0);
   return limiter;
+}
+
+double us_between(std::chrono::steady_clock::time_point from,
+                  std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
 double ticks_to_us_since(std::uint64_t ingest_ticks,
@@ -252,8 +264,9 @@ core::FrameworkInput CampaignState::as_framework_input() const {
 void CampaignState::refine_and_publish(bool to_convergence) {
   obs::TraceSpan span("campaign/refine");
   span.arg("campaign", static_cast<double>(campaign_));
+  const auto regroup_start = std::chrono::steady_clock::now();
   const core::AccountGrouping& current = grouping();
-  const core::FrameworkInput view = as_framework_input();
+  const auto refine_start = std::chrono::steady_clock::now();
   std::size_t iterations = 0;
   bool converged = false;
   double final_residual = 0.0;
@@ -261,16 +274,26 @@ void CampaignState::refine_and_publish(bool to_convergence) {
   if (to_convergence) {
     // The drain path *is* the batch path: identical grouped data through
     // identical code, so a drained campaign equals core::run_framework.
-    core::FrameworkResult result =
-        core::run_framework(view, current, options_->framework);
+    core::FrameworkResult result = core::run_framework(
+        as_framework_input(), current, options_->framework);
     truths_ = std::move(result.truths);
     group_weights_ = std::move(result.group_weights);
     iterations = result.iterations;
     converged = result.converged;
     final_residual = result.final_residual;
   } else {
-    const core::GroupedData grouped =
-        core::group_data(view, current, options_->framework.data_grouping);
+    // The flat report list in account order is the order the batch path's
+    // flatten_reports produces, so the grouped data is the same to the bit.
+    flat_reports_.clear();
+    for (std::size_t i = 0; i < observations_.size(); ++i) {
+      for (const Slot& slot : observations_[i]) {
+        flat_reports_.push_back({static_cast<std::uint32_t>(i),
+                                 static_cast<std::uint32_t>(slot.task),
+                                 slot.value});
+      }
+    }
+    const core::GroupedData grouped = core::group_data(
+        task_count_, flat_reports_, current, options_->framework.data_grouping);
     const std::vector<double> norm =
         core::framework_task_normalizers(grouped, task_count_);
     const std::vector<double> init = core::framework_initial_truths(
@@ -291,6 +314,10 @@ void CampaignState::refine_and_publish(bool to_convergence) {
         break;
       }
     }
+    auto& metrics = PipelineMetrics::get();
+    metrics.regroup_us.record(us_between(regroup_start, refine_start));
+    metrics.refine_us.record(
+        us_between(refine_start, std::chrono::steady_clock::now()));
   }
   span.arg("iterations", static_cast<double>(iterations));
 
@@ -468,9 +495,7 @@ void Shard::process_batch(const std::vector<Report>& batch) {
   metrics.applied.inc(batch.size());
   metrics.batches.inc();
   metrics.batch_us.record(
-      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-          std::chrono::steady_clock::now() - batch_start)
-          .count());
+      us_between(batch_start, std::chrono::steady_clock::now()));
 }
 
 void Shard::finalize_all() {

@@ -125,8 +125,10 @@ class CampaignState {
   // Current grouping; rebuilt from the task-set index when dirty.
   const core::AccountGrouping& grouping();
 
-  // Refine the warm truth state (a few iterations, or to convergence via
-  // the batch run_framework path) and publish a fresh snapshot.
+  // Refine the warm truth state and publish a fresh snapshot.  The warm
+  // path groups the live observations straight from the store and runs a
+  // few iterations; to_convergence runs the batch run_framework path on
+  // as_framework_input().
   void refine_and_publish(bool to_convergence);
 
   // Reconstruct the batch-framework view of the live observations.
@@ -181,6 +183,9 @@ class CampaignState {
 
   std::vector<double> truths_;         // warm CRH state, per task
   std::vector<double> group_weights_;  // last iterated weights, per group
+  // Warm-refine scratch: the live observations as group_data's flat input,
+  // refilled in account order on every refine_and_publish(false).
+  std::vector<core::GroupingReport> flat_reports_;
 
   std::uint64_t step_ = 0;     // arrivals, ages decay
   std::uint64_t applied_ = 0;  // reports applied (including upserts)

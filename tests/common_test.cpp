@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/error.h"
@@ -131,6 +132,31 @@ TEST(RunningMoments, MatchesBatchFormulas) {
   EXPECT_NEAR(m.variance(), variance(xs), 1e-12);
   EXPECT_NEAR(m.min(), -1.0, 1e-12);
   EXPECT_NEAR(m.max(), 7.0, 1e-12);
+}
+
+// The batch mean / variance / stddev take a leaner path than
+// RunningMoments but must agree with it to the bit (Eq. 3 and the CRH
+// normalizers are pinned bit-identical to the RunningMoments results).
+TEST(RunningMoments, BatchMeanAndVarianceAreBitIdentical) {
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  Rng rng(14);
+  std::vector<std::vector<double>> samples = {{}, {-0.0}, {3.5}, {-50.0, -50.0}};
+  for (std::size_t n = 1; n < 40; ++n) {
+    std::vector<double> xs(n);
+    for (auto& x : xs) x = rng.normal(-60.0, 10.0) * (rng.bernoulli(0.1) ? 1e6 : 1.0);
+    samples.push_back(std::move(xs));
+  }
+  for (const auto& xs : samples) {
+    RunningMoments m;
+    for (double x : xs) m.add(x);
+    EXPECT_TRUE(same_bits(mean(xs), m.mean())) << "n " << xs.size();
+    EXPECT_TRUE(same_bits(variance(xs), m.variance())) << "n " << xs.size();
+    EXPECT_TRUE(same_bits(sample_variance(xs), m.sample_variance()))
+        << "n " << xs.size();
+    EXPECT_TRUE(same_bits(stddev(xs), m.stddev())) << "n " << xs.size();
+  }
 }
 
 TEST(RunningMoments, MergeEqualsSequential) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 
+#include "common/rng.h"
 #include "core/ag_fp.h"
 #include "core/ag_tr.h"
 #include "core/ag_ts.h"
@@ -14,6 +16,7 @@
 #include "core/framework.h"
 #include "eval/adapters.h"
 #include "eval/paper_example.h"
+#include "grouping_oracles.h"
 #include "mcs/scenario.h"
 
 namespace sybiltd::core {
@@ -300,10 +303,11 @@ TEST(DataGrouping, AggregateModes) {
   const std::vector<double> duplicates{-50, -50, -50};
   opt.aggregate = GroupAggregate::kInverseDeviation;
   EXPECT_NEAR(aggregate_group_values(duplicates, opt), -50.0, 1e-9);
+  const std::vector<double> spread{1, 2, 9};
   opt.aggregate = GroupAggregate::kMean;
-  EXPECT_NEAR(aggregate_group_values({1, 2, 9}, opt), 4.0, 1e-12);
+  EXPECT_NEAR(aggregate_group_values(spread, opt), 4.0, 1e-12);
   opt.aggregate = GroupAggregate::kMedian;
-  EXPECT_NEAR(aggregate_group_values({1, 2, 9}, opt), 2.0, 1e-12);
+  EXPECT_NEAR(aggregate_group_values(spread, opt), 2.0, 1e-12);
   EXPECT_THROW(aggregate_group_values({}, opt), std::invalid_argument);
 }
 
@@ -325,14 +329,17 @@ TEST(DataGrouping, Eq4WeightsFavorSmallGroups) {
                               {{0, -70.0, 0.2}}});
   const AccountGrouping grouping({{0, 1}, {2}}, 3);
   const GroupedData grouped = group_data(input, grouping);
-  ASSERT_EQ(grouped.per_task[0].size(), 2u);
-  const auto& sybil = grouped.per_task[0][0];
-  const auto& legit = grouped.per_task[0][1];
-  EXPECT_EQ(sybil.group, 0u);
-  EXPECT_NEAR(sybil.value, -50.0, 1e-9);
-  EXPECT_NEAR(sybil.initial_weight, 1.0 - 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(legit.initial_weight, 1.0 - 1.0 / 3.0, 1e-12);
-  EXPECT_GT(legit.initial_weight, sybil.initial_weight);
+  ASSERT_EQ(grouped.task_count(), 1u);
+  ASSERT_EQ(grouped.task_width(0), 2u);
+  // Cells of task 0 in group order: the Sybil pair, then the legit account.
+  EXPECT_EQ(grouped.group[0], 0u);
+  EXPECT_EQ(grouped.group[1], 1u);
+  EXPECT_EQ(grouped.member_count[0], 2u);
+  EXPECT_EQ(grouped.member_count[1], 1u);
+  EXPECT_NEAR(grouped.value[0], -50.0, 1e-9);
+  EXPECT_NEAR(grouped.initial_weight[0], 1.0 - 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(grouped.initial_weight[1], 1.0 - 1.0 / 3.0, 1e-12);
+  EXPECT_GT(grouped.initial_weight[1], grouped.initial_weight[0]);
 }
 
 TEST(DataGrouping, TasksOfGroupTracksCoverage) {
@@ -340,8 +347,9 @@ TEST(DataGrouping, TasksOfGroupTracksCoverage) {
                               {{1, 2.0, 0.0}}});
   const AccountGrouping grouping({{0}, {1}}, 2);
   const GroupedData grouped = group_data(input, grouping);
-  EXPECT_EQ(grouped.tasks_of_group[0], (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(grouped.tasks_of_group[1], (std::vector<std::size_t>{1}));
+  EXPECT_EQ(grouped.task_begin, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(grouped.group, (std::vector<std::uint32_t>{0, 1, 0}));
+  EXPECT_EQ(grouped.group_task_count, (std::vector<std::uint32_t>{2, 1}));
 }
 
 TEST(DataGrouping, LiteralGroupSizeModeClampsAtFloor) {
@@ -352,8 +360,108 @@ TEST(DataGrouping, LiteralGroupSizeModeClampsAtFloor) {
   DataGroupingOptions opt;
   opt.size_from_task_participants = false;
   const GroupedData grouped = group_data(input, grouping, opt);
-  EXPECT_NEAR(grouped.per_task[0][0].initial_weight, opt.weight_floor,
-              1e-12);
+  ASSERT_EQ(grouped.group[0], 0u);
+  EXPECT_NEAR(grouped.initial_weight[0], opt.weight_floor, 1e-12);
+}
+
+// The CSR layout against the nested task x group grid, field by field and
+// bit for bit, over every aggregator, both Eq. (4) size modes, silent
+// accounts, unreported tasks, silent groups, singletons and one group.
+TEST(DataGrouping, MatchesNestedGridOracle) {
+  const GroupAggregate modes[] = {
+      GroupAggregate::kInverseDeviation, GroupAggregate::kMean,
+      GroupAggregate::kMedian, GroupAggregate::kTrimmedMean,
+      GroupAggregate::kHuber};
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  Rng rng(2024);
+  std::size_t silent_groups = 0, unreported_tasks = 0, cells = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n_tasks = 1 + rng.uniform_index(9);
+    const std::size_t n_accounts = 1 + rng.uniform_index(30);
+    FrameworkInput input;
+    input.task_count = n_tasks;
+    input.accounts.resize(n_accounts);
+    for (auto& account : input.accounts) {
+      if (rng.bernoulli(0.2)) continue;  // an account with no reports
+      for (std::size_t j = 0; j < n_tasks; ++j) {
+        // The last task of odd trials is never reported.
+        if (trial % 2 == 1 && j + 1 == n_tasks) continue;
+        if (!rng.bernoulli(0.5)) continue;
+        // Duplicates (the Sybil case) and ties, and full-precision values
+        // whose sums round differently in another order.
+        const double value =
+            rng.bernoulli(0.3) ? -50.0 : rng.uniform(-80.0, -40.0);
+        account.reports.push_back({j, value, static_cast<double>(j)});
+      }
+      // Report order within an account is input order, not task order.
+      for (std::size_t r = account.reports.size(); r > 1; --r) {
+        std::swap(account.reports[r - 1],
+                  account.reports[rng.uniform_index(r)]);
+      }
+    }
+    std::vector<std::size_t> labels(n_accounts);
+    const std::size_t n_labels = 1 + rng.uniform_index(n_accounts);
+    for (auto& label : labels) label = rng.uniform_index(n_labels);
+    const AccountGrouping groupings[] = {
+        AccountGrouping::from_labels(labels),
+        AccountGrouping::singletons(n_accounts),
+        AccountGrouping::from_labels(std::vector<std::size_t>(n_accounts, 0))};
+    for (const AccountGrouping& grouping : groupings) {
+      for (const GroupAggregate mode : modes) {
+        for (const bool participants : {true, false}) {
+          DataGroupingOptions options;
+          options.aggregate = mode;
+          options.size_from_task_participants = participants;
+          const GroupedData csr = group_data(input, grouping, options);
+          const oracle::NestedGroupedData nested =
+              oracle::group_data_nested(input, grouping, options);
+          ASSERT_EQ(csr.task_count(), n_tasks);
+          ASSERT_EQ(csr.group_count(), grouping.group_count());
+          std::size_t c = 0;
+          for (std::size_t j = 0; j < n_tasks; ++j) {
+            ASSERT_EQ(csr.task_begin[j], c) << "task " << j;
+            for (const oracle::NestedCell& cell : nested.per_task[j]) {
+              ASSERT_LT(c, csr.cell_count());
+              EXPECT_EQ(csr.group[c], cell.group);
+              EXPECT_TRUE(same_bits(csr.value[c], cell.value))
+                  << "task " << j << " group " << cell.group;
+              EXPECT_TRUE(same_bits(csr.initial_weight[c],
+                                    cell.initial_weight))
+                  << "task " << j << " group " << cell.group;
+              EXPECT_EQ(csr.member_count[c], cell.member_count);
+              ++c;
+            }
+            if (nested.per_task[j].empty()) ++unreported_tasks;
+          }
+          ASSERT_EQ(csr.task_begin[n_tasks], c);
+          ASSERT_EQ(csr.cell_count(), c);
+          cells += c;
+          for (std::size_t k = 0; k < grouping.group_count(); ++k) {
+            EXPECT_EQ(csr.group_task_count[k],
+                      nested.tasks_of_group[k].size());
+            if (nested.tasks_of_group[k].empty()) ++silent_groups;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(silent_groups, 0u);
+  EXPECT_GT(unreported_tasks, 0u);
+  EXPECT_GT(cells, 0u);
+}
+
+TEST(DataGrouping, RejectsOutOfRangeReports) {
+  const auto input = make_input(2, {{{0, 1.0, 0.0}, {2, 1.0, 0.1}}});
+  const auto grouping = AccountGrouping::singletons(1);
+  EXPECT_THROW(group_data(input, grouping), std::invalid_argument);
+  const GroupingReport task_out_of_range[] = {{0, 2, 1.0}};
+  EXPECT_THROW(group_data(2, task_out_of_range, grouping),
+               std::invalid_argument);
+  const GroupingReport account_out_of_range[] = {{1, 0, 1.0}};
+  EXPECT_THROW(group_data(2, account_out_of_range, grouping),
+               std::invalid_argument);
 }
 
 // --- Framework (Algorithm 2) ------------------------------------------------

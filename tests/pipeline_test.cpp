@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <numeric>
@@ -18,7 +19,9 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/ag_ts.h"
+#include "core/data_grouping.h"
 #include "core/framework.h"
+#include "obs/metrics.h"
 #include "pipeline/engine.h"
 #include "pipeline/report_queue.h"
 
@@ -351,6 +354,100 @@ TEST(CampaignEngine, DrainMatchesBatchFramework) {
           << "pair " << i << "," << j;
     }
   }
+}
+
+// --- CampaignState warm refine ---------------------------------------------
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// The warm refine groups the live observations straight from the store.
+// Under churn (upserts, fresh accounts) and decay evictions it must publish
+// exactly what the same warm iterations give on the batch view,
+// group_data(as_framework_input(), ...).
+TEST(CampaignStateRefine, FlatStoreMatchesFrameworkViewUnderChurnAndDecay) {
+  ShardOptions options;
+  options.rho = 0.0;
+  options.decay = 0.97;
+  options.influence_floor = 1e-2;  // a horizon of 152 arrivals
+  const core::FrameworkOptions& fw = options.framework;
+  constexpr std::size_t kTasks = 16;
+  SnapshotCell cell;
+  ShardCounters counters;
+  CampaignState state(0, kTasks, &options, &cell, &counters);
+  Rng rng(41);
+  std::size_t batches_with_evictions = 0, batches_with_merges = 0;
+  for (int batch = 0; batch < 80; ++batch) {
+    for (int r = 0; r < 12; ++r) {
+      const std::size_t account = rng.uniform_index(30);
+      // Sybil-like accounts (multiples of 3) share tasks 0..5 and a value.
+      const bool sybil = account % 3 == 0;
+      const std::size_t task =
+          sybil ? rng.uniform_index(6) : rng.uniform_index(kTasks);
+      const double value = sybil ? -50.0 : rng.normal(-70.0, 3.0);
+      state.apply({0, account, task, value, 0.0});
+    }
+    const std::uint64_t evicted_before = counters.evictions.load();
+    state.evict_stale();
+    if (counters.evictions.load() > evicted_before) ++batches_with_evictions;
+
+    // Expected: the previous snapshot's warm state, iterated on the view.
+    const auto before = cell.read();
+    std::vector<double> truths = before->truths;
+    std::vector<double> weights = before->group_weights;
+    const core::GroupedData grouped = core::group_data(
+        state.as_framework_input(), state.grouping(), fw.data_grouping);
+    const auto norm = core::framework_task_normalizers(grouped, kTasks);
+    const auto init =
+        core::framework_initial_truths(grouped, kTasks, fw.init_with_eq5);
+    for (std::size_t j = 0; j < kTasks; ++j) {
+      if (std::isnan(truths[j])) truths[j] = init[j];
+    }
+    for (std::size_t k = 0; k < options.refine_iterations; ++k) {
+      const double delta = core::framework_iterate_once(
+          grouped, norm, fw.loss_epsilon, truths, weights);
+      if (delta < fw.convergence.truth_tolerance) break;
+    }
+
+    state.refine_and_publish(false);
+    const auto after = cell.read();
+    ASSERT_EQ(after->version, before->version + 1);
+    ASSERT_TRUE(same_bits(after->truths, truths)) << "batch " << batch;
+    ASSERT_TRUE(same_bits(after->group_weights, weights)) << "batch " << batch;
+    if (after->group_count < after->group_of.size()) ++batches_with_merges;
+  }
+  EXPECT_GT(batches_with_evictions, 0u);
+  EXPECT_GT(batches_with_merges, 0u);
+}
+
+// One regroup and one refine sample per touched campaign per micro-batch:
+// an untouched campaign adds none.
+TEST(CampaignStateRefine, RegroupAndRefineHistogramsCountTouchedCampaigns) {
+  auto& registry = obs::MetricsRegistry::global();
+  ShardOptions options;
+  Shard shard(0, options, /*queue_capacity=*/64, /*max_batch=*/64);
+  std::vector<SnapshotCell> cells(4);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    shard.add_campaign(c, 4, &cells[c]);
+  }
+  obs::Histogram& regroup = registry.histogram("pipeline.regroup_us");
+  obs::Histogram& refine = registry.histogram("pipeline.refine_us");
+  const std::uint64_t regroup_before = regroup.count();
+  const std::uint64_t refine_before = refine.count();
+  // Campaigns 0, 1 and 2 in one micro-batch; campaign 3 is not touched.
+  for (std::size_t r = 0; r < 9; ++r) {
+    ASSERT_EQ(shard.queue().push({r % 3, r, r % 4, -60.0, 0.0},
+                                 BackpressurePolicy::kBlock),
+              PushResult::kOk);
+  }
+  ASSERT_TRUE(shard.step());
+  EXPECT_EQ(shard.counters().batches.load(), 1u);
+  EXPECT_EQ(regroup.count(), regroup_before + 3);
+  EXPECT_EQ(refine.count(), refine_before + 3);
+  EXPECT_EQ(cells[3].read()->version, 0u);
 }
 
 // --- CampaignState memory -------------------------------------------------

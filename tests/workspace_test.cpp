@@ -13,6 +13,7 @@
 #include <future>
 #include <new>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -263,6 +264,47 @@ TEST(ZeroAllocation, FrameworkIterateOnceAfterWarmUp) {
   EXPECT_EQ(allocs, 0u)
       << "framework_iterate_once allocated in steady state";
   EXPECT_TRUE(std::isfinite(sink));
+}
+
+// group_data sorts reports into cells with workspace scratch and writes a
+// fixed set of flat arrays, so its heap allocations do not grow with the
+// campaign: one per output array, none per cell.
+TEST(ZeroAllocation, GroupDataAllocationsIndependentOfSize) {
+  const auto campaign = [](std::size_t accounts) {
+    core::FrameworkInput input;
+    input.task_count = 64;
+    input.accounts.resize(accounts);
+    Rng rng(6);
+    for (auto& account : input.accounts) {
+      for (std::size_t j = 0; j < input.task_count; ++j) {
+        if (rng.bernoulli(0.1)) {
+          account.reports.push_back({j, rng.uniform(-90.0, -50.0), 0.0});
+        }
+      }
+    }
+    // Groups of five consecutive accounts, so cells hold several values.
+    std::vector<std::size_t> labels(accounts);
+    for (std::size_t i = 0; i < accounts; ++i) labels[i] = i / 5;
+    return std::make_pair(std::move(input),
+                          core::AccountGrouping::from_labels(labels));
+  };
+  const auto small = campaign(200);
+  const auto large = campaign(2000);
+  // Warm the workspace pool at the larger shape first.
+  (void)core::group_data(large.first, large.second);
+  (void)core::group_data(small.first, small.second);
+
+  const auto allocs_at = [](const auto& shape) {
+    return count_allocations([&] {
+      const core::GroupedData grouped =
+          core::group_data(shape.first, shape.second);
+      EXPECT_GT(grouped.cell_count(), 0u);
+    });
+  };
+  const std::uint64_t small_allocs = allocs_at(small);
+  const std::uint64_t large_allocs = allocs_at(large);
+  EXPECT_EQ(small_allocs, large_allocs);
+  EXPECT_LE(large_allocs, 8u) << "group_data allocated per cell";
 }
 
 // --- Plan caching ------------------------------------------------------------
