@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "candidate/setjoin.h"
+#include "candidate/task_set_index.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/ag_fp.h"
@@ -24,6 +26,7 @@
 #include "dtw/dtw.h"
 #include "eval/adapters.h"
 #include "eval/experiment.h"
+#include "grouping_scenario.h"
 #include "ml/elbow.h"
 #include "ml/kmeans.h"
 #include "ml/pca.h"
@@ -419,6 +422,54 @@ void BM_AgTs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AgTs);
+
+// The AG-TS set join (Eq. 6) alone on a Sybil-shaped campaign: 10^4
+// accounts over 64 tasks, 10% of them Sybil accounts in groups of five
+// replaying one schedule (bench/grouping_scenario.h), rho = 0.
+// `entries` counts the posting entries the verify kernel tested per call.
+void BM_SetJoin(benchmark::State& state) {
+  const auto scenario = bench::make_grouping_input(
+      static_cast<std::size_t>(state.range(0)), 16);
+  const auto sets = core::AgTs::task_sets(scenario.input);
+  const std::size_t m = scenario.input.task_count;
+  const auto is_edge = [m](std::size_t both, std::size_t alone) {
+    return core::AgTs::affinity(both, alone, m) > 0.0;
+  };
+  candidate::SetJoinStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        candidate::sparse_affinity_edges(sets, is_edge, &stats));
+  }
+  state.counters["entries"] = static_cast<double>(stats.candidates);
+  attach_simd_level(state);
+}
+BENCHMARK(BM_SetJoin)->Arg(10000)->Unit(benchmark::kMillisecond);
+
+// One streaming regroup probe: TaskSetIndex::neighbors at rho = 0 for one
+// account of a 2,000-account, 64-task campaign of the same shape (the
+// campaign_stream size), cycling through the accounts.
+void BM_TaskSetIndexNeighbors(benchmark::State& state) {
+  const auto scenario = bench::make_grouping_input(
+      static_cast<std::size_t>(state.range(0)), 16);
+  const auto& input = scenario.input;
+  const std::size_t n = input.accounts.size();
+  candidate::TaskSetIndex index(input.task_count);
+  index.resize(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (const auto& report : input.accounts[a].reports) {
+      if (!index.contains(a, report.task)) index.insert(a, report.task);
+    }
+  }
+  std::vector<std::uint32_t> out;
+  std::size_t a = 0;
+  for (auto _ : state) {
+    index.neighbors(a, 0.0, out);
+    benchmark::DoNotOptimize(out.data());
+    a = a + 1 == n ? 0 : a + 1;
+  }
+  attach_simd_level(state);
+}
+BENCHMARK(BM_TaskSetIndexNeighbors)->Arg(2000);
 
 void BM_AgTr(benchmark::State& state) {
   const auto input = eval::to_framework_input(shared_scenario());

@@ -7,14 +7,14 @@
 //   AG-TR   AgTr(): endpoint-grid blocking + lower-bound cascade  vs  every
 //           pair, skipped only when the endpoint bound reaches phi,
 //           otherwise exact DTW,
-//   AG-TS   AgTs(): signature collapse + MinHash set join          vs  an
+//   AG-TS   AgTs(): signature collapse + exact prefix join         vs  an
 //           exact bitset-popcount sweep over every pair.
 //
-// Both production paths are generate-then-verify, so recall against the
-// oracle's grouping is the headline number next to the speedup; the funnel
-// fractions show where pairs die.  Oracles only run up to --all-pairs-cap
-// accounts (default 10^5) — beyond that the quadratic sweep is the point
-// being made.
+// Both production paths are exact by proof (docs/GROUPING.md), so recall
+// against the oracle's grouping must be 1.0; it is checked next to the
+// speedup, and the funnel fractions show where pairs die.  Oracles only
+// run up to --all-pairs-cap accounts (default 10^5) — beyond that the
+// quadratic sweep is the point being made.
 //
 // Modes:
 //   scalability [sizes...]          human tables (default 10000 100000)
@@ -30,8 +30,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <random>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -42,9 +43,12 @@
 #include "dtw/dtw.h"
 #include "eval/adapters.h"
 #include "graph/union_find.h"
+#include "grouping_scenario.h"
 #include "mcs/scenario.h"
+#include "simd/simd.h"
 
 using namespace sybiltd;
+using sybiltd::bench::make_grouping_input;
 
 namespace {
 
@@ -52,88 +56,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-// ---------------------------------------------------------------------------
-// Synthetic campaign generator.  mcs::generate_scenario models the paper's
-// full sensing physics and becomes the bottleneck near 10^6 accounts, so
-// the bench uses a lean generator with the same grouping-relevant shape:
-// 90% legitimate accounts with individual task schedules, 10% Sybil
-// accounts in groups of 5 that replay one schedule (identical task sets,
-// near-identical trajectories — the signature AG-TS / AG-TR detect).
-// Tasks scale with n (m = max(64, n / 250)) and the enrollment window
-// widens with n so account density per unit time stays realistic.
-
-struct GroupingScenario {
-  core::FrameworkInput input;
-  std::size_t attacker_groups = 0;
-};
-
-GroupingScenario make_grouping_input(std::size_t n, std::uint64_t seed) {
-  GroupingScenario out;
-  const std::size_t m = std::max<std::size_t>(64, n / 250);
-  const double window_hours = std::max(2.0, static_cast<double>(n) / 5000.0);
-  const std::size_t groups = n / 50;  // x5 accounts each = 10% of n
-  const std::size_t legit = n - groups * 5;
-  out.attacker_groups = groups;
-  out.input.task_count = m;
-  out.input.accounts.reserve(n);
-
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<std::size_t> task_of(0, m - 1);
-  std::uniform_int_distribution<std::size_t> schedule_len(4, 12);
-  std::uniform_real_distribution<double> start_of(0.0, window_hours);
-  std::uniform_real_distribution<double> gap(0.05, 0.3);
-  std::normal_distribution<double> truth(-60.0, 5.0);
-  std::normal_distribution<double> noise(0.0, 2.0);
-  std::uniform_real_distribution<double> clone_offset(0.0, 0.02);
-
-  std::vector<double> task_truth(m);
-  for (auto& t : task_truth) t = truth(rng);
-
-  // One schedule: distinct tasks in visit order with increasing timestamps.
-  const auto make_schedule = [&](std::vector<core::AccountObservation>* s) {
-    const std::size_t len = schedule_len(rng);
-    std::vector<std::uint32_t> tasks;
-    while (tasks.size() < len) {
-      const auto t = static_cast<std::uint32_t>(task_of(rng));
-      if (std::find(tasks.begin(), tasks.end(), t) == tasks.end()) {
-        tasks.push_back(t);
-      }
-    }
-    double ts = start_of(rng);
-    s->clear();
-    for (const std::uint32_t t : tasks) {
-      s->push_back({t, task_truth[t] + noise(rng), ts});
-      ts += gap(rng);
-    }
-  };
-
-  std::vector<core::AccountObservation> schedule;
-  for (std::size_t i = 0; i < legit; ++i) {
-    core::AccountTrace trace;
-    trace.name = "u" + std::to_string(i);
-    make_schedule(&schedule);
-    trace.reports = schedule;
-    out.input.accounts.push_back(std::move(trace));
-  }
-  for (std::size_t g = 0; g < groups; ++g) {
-    make_schedule(&schedule);
-    for (std::size_t c = 0; c < 5; ++c) {
-      core::AccountTrace trace;
-      trace.name = "a" + std::to_string(g) + "_" + std::to_string(c);
-      trace.reports = schedule;
-      // Replayed schedule, shifted by a per-clone constant: the task sets
-      // stay identical and the timestamp DTW cost stays far below phi.
-      const double shift = clone_offset(rng);
-      for (auto& report : trace.reports) {
-        report.timestamp_hours += shift;
-        report.value = -50.0 + 0.5 * noise(rng);
-      }
-      out.input.accounts.push_back(std::move(trace));
-    }
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -287,6 +209,20 @@ AgTsRun run_agts(const core::FrameworkInput& input, double rho,
   return run;
 }
 
+// The first "model name" of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
 std::string cell_or_dash(double v, int precision) {
   return v < 0 ? "-" : format_cell(v, precision);
 }
@@ -370,10 +306,10 @@ int run_grouping(const std::vector<std::size_t>& sizes, bool json,
           "    {\"name\": \"BM_AgTsSparse/%zu\", \"run_type\": "
           "\"iteration\", \"real_time\": %.3f, \"cpu_time\": %.3f, "
           "\"time_unit\": \"ms\", \"recall\": %.6f, \"collapsed\": %zu, "
-          "\"verified_pairs\": %zu, \"edges\": %zu, \"exhaustive\": %s},\n",
+          "\"verified_pairs\": %zu, \"edges\": %zu},\n",
           n, 1e3 * ts.sparse_s, 1e3 * ts.sparse_s, ts.recall,
           ts.stats.join.collapsed, ts.stats.join.candidates,
-          ts.stats.join.edges, ts.stats.join.exhaustive ? "true" : "false");
+          ts.stats.join.edges);
       benchmarks += buf;
       if (ts.exact_s >= 0) {
         std::snprintf(buf, sizeof buf,
@@ -389,8 +325,11 @@ int run_grouping(const std::vector<std::size_t>& sizes, bool json,
   if (json) {
     if (!benchmarks.empty()) benchmarks.resize(benchmarks.size() - 2);
     std::printf("{\n  \"context\": {\"bench\": \"scalability --json\", "
-                "\"rho\": %.1f},\n  \"benchmarks\": [\n%s\n  ]\n}\n",
-                kRho, benchmarks.c_str());
+                "\"rho\": %.1f, \"nproc\": %u, \"cpu_model\": \"%s\", "
+                "\"simd_level\": \"%s\"},\n  \"benchmarks\": [\n%s\n  ]\n}\n",
+                kRho, std::thread::hardware_concurrency(), cpu_model().c_str(),
+                std::string(simd::level_name(simd::active_level())).c_str(),
+                benchmarks.c_str());
     return 0;
   }
   std::printf("AG-TR: endpoint-grid blocking + lower-bound cascade vs "
@@ -398,8 +337,9 @@ int run_grouping(const std::vector<std::size_t>& sizes, bool json,
               "Recall is pairwise against the\noracle's grouping (1.0 "
               "expected: the production path is provably exact).\n\n%s\n",
               agtr_table.render().c_str());
-  std::printf("AG-TS: signature collapse + MinHash set join vs an exact "
-              "bitset-popcount\nsweep (rho = %.1f).\n\n%s",
+  std::printf("AG-TS: signature collapse + exact prefix join vs an exact "
+              "bitset-popcount\nsweep (rho = %.1f).  Verified pairs are the "
+              "posting entries the join's\nverify kernel tested.\n\n%s",
               kRho, agts_table.render().c_str());
   return 0;
 }
@@ -420,7 +360,7 @@ int run_smoke(std::size_t n) {
               100.0 * pruned_frac);
   const AgTsRun ts = run_agts(scenario.input, kRho, /*with_baseline=*/true);
   std::printf("  agts: %.2fs AgTs() vs %.2fs oracle, recall %.4f, "
-              "%zu pairs verified of %.0f\n",
+              "%zu posting entries verified for %.0f pairs\n",
               ts.sparse_s, ts.exact_s, ts.recall, ts.stats.join.candidates,
               pairs);
   bool ok = true;
@@ -435,8 +375,8 @@ int run_smoke(std::size_t n) {
     ok = false;
   }
   if (ts.recall < 1.0) {
-    std::printf("FAIL: AG-TS sparse recall %.6f (exhaustive tier expected "
-                "at this scale)\n", ts.recall);
+    std::printf("FAIL: AG-TS recall %.6f (the prefix join is exact by "
+                "proof; recall must be 1.0)\n", ts.recall);
     ok = false;
   }
   std::printf("%s\n", ok ? "smoke OK" : "smoke FAILED");

@@ -15,7 +15,7 @@ using CellKey = std::array<std::int64_t, 4>;
 
 struct CellKeyHash {
   std::size_t operator()(const CellKey& key) const {
-    // splitmix64-style mix of the four coordinates.
+    // SplitMix64-style mix of the four coordinates.
     std::uint64_t h = 0x9e3779b97f4a7c15ull;
     for (std::int64_t c : key) {
       std::uint64_t x = static_cast<std::uint64_t>(c) + h;

@@ -4,34 +4,49 @@
 //
 // Structure of the problem.  The affinity A(i,j) = (T - 2L)(T + L) / m is
 // positive only when T > 2L, i.e. when the intersection dominates the
-// symmetric difference; with the non-negative thresholds rho used in
-// practice, an edge therefore requires Jaccard similarity
-// J = T / (T + L) > 2/3.  That gap is what makes generate-then-verify
-// work: the generator only has to surface pairs that *could* be that
-// similar, and an exact verification of each candidate keeps the edge set
-// truthful.
+// symmetric difference.  With L = |A| + |B| - 2T that is 5T > 2(|A| + |B|),
+// which is exactly Jaccard similarity J = T / (T + L) > 2/3.  With the
+// non-negative thresholds rho used in practice an edge therefore needs it,
+// and the search is an exact set-similarity self-join.
 //
-// Three tiers, cheapest first:
-//   1. Signature collapse.  Accounts with byte-identical task sets (the
-//      Sybil signature: replayed schedules share the exact set) are grouped
-//      behind one representative; within such a group every pair has T = s,
-//      L = 0, so one affinity check decides all of them and a star of edges
-//      to the representative keeps the component intact.  This tier is
-//      deterministic and loses nothing.
-//   2. Candidate generation over *distinct* sets.  When the number of
-//      distinct sets is at most `exact_distinct_cap`, all representative
-//      pairs are verified — the join is exact by exhaustion.  Above the
-//      cap, MinHash LSH (`bands` bands of `rows` rows, deterministic
-//      seeds) surfaces pairs likely to have J > 2/3; a pair with Jaccard J
-//      is caught with probability 1 - (1 - J^rows)^bands (>= 0.999 at the
-//      default 32 x 4 for J just above 2/3, higher as J grows).  This is
-//      the one probabilistic tier, and only for pairs of *different* sets.
-//   3. Exact verification.  Every candidate pair's true T (sorted-vector
-//      intersection) and L decide the edge; no false positives ever.
+// Two tiers, both exact:
+//   1. Signature collapse.  Accounts with identical task sets (the Sybil
+//      signature: replayed schedules share the exact set) are grouped
+//      behind their smallest account id; within such a group every pair
+//      has T = s, L = 0, so one check decides all of them and a star of
+//      edges to the representative keeps the component intact.
+//   2. Prefix join over the distinct non-empty representatives (Bayardo
+//      et al., "Scaling up all pairs similarity search", WWW'07; Xiao et
+//      al., PPJoin, WWW'08).  Tasks are ranked rarest first (frequency over
+//      the distinct sets, ties by task id) and each set lists its tasks in
+//      that order.  Sets are processed in ascending size (ties by
+//      representative id), so every earlier set B has |B| <= |A|:
+//        * probe: the posting lists of A's first |A| - floor(2|A|/3) tasks;
+//        * index: after probing, A joins the lists of its first
+//          |A| - floor(4|A|/5) tasks, the prefix it needs as a later B;
+//        * size filter: an edge needs 3|B| > 2|A|; lists are size-ordered,
+//          so the filter is a per-list head pointer that only moves forward;
+//        * verify: one simd::KernelTable::set_join_verify dispatch per
+//          posting run.  Each set has a one-word row with bit t mod 64 for
+//          each task t; with all task ids below 64 that is the exact
+//          bitset, popcount(row_A & row_B) is T, and the kernel keeps
+//          exactly the entries with 5T > 2(|A| + |B|).  Above 64 tasks the
+//          popcount alone can undercount T (t and t + 64 share a bit), so
+//          A's excess e_A = |A| - popcount(row_A) is added back:
+//          T <= popcount(row_A & row_B) + e_A always holds, and the kernel
+//          runs with |A| - ceil(5 e_A / 2) as A's size (a negative value
+//          filters nothing).  Survivors get the exact T from the sorted
+//          task lists, and `is_edge` decides them.
+//      The prefix lemma in docs/GROUPING.md proves that every pair with
+//      T > 2L meets in some probed list, and the bound above that the
+//      filter keeps it, so recall is 1 by construction.  A pair found
+//      through several lists is emitted once (sort + unique).
 //
-// The caller supplies the edge predicate, and guarantees it implies
-// J > 2/3 (AG-TS checks rho >= 0 before taking this path; rho < 0 keeps
-// the dense evaluation, where the necessity argument breaks down).
+// The caller supplies the edge predicate and guarantees that it implies
+// T > 2L, and that is_edge(s, 0) holds for an identical-set group whenever
+// any of its sets has an edge (both hold for Eq. 6 with rho >= 0, since
+// A(T, L) <= T^2 / m <= A(s, 0); AG-TS keeps rho < 0 on the dense path).
+// The join is serial; `is_edge` is called from the calling thread only.
 #pragma once
 
 #include <cstddef>
@@ -41,21 +56,12 @@
 
 namespace sybiltd::candidate {
 
-struct SetJoinOptions {
-  std::size_t bands = 32;  // LSH bands ...
-  std::size_t rows = 4;    // ... of this many MinHash rows each
-  // Verify all representative pairs exhaustively at or below this many
-  // distinct task sets (exact join); LSH engages only above it.
-  std::size_t exact_distinct_cap = 4096;
-  std::uint64_t seed = 0x5359424c54445uLL;  // deterministic hash seed
-};
-
 struct SetJoinStats {
   std::size_t accounts = 0;
   std::size_t distinct_sets = 0;   // non-empty distinct task sets
   std::size_t collapsed = 0;       // accounts folded behind a representative
-  bool exhaustive = false;         // tier 2 ran exact instead of LSH
-  std::size_t candidates = 0;      // representative pairs verified
+  bool exhaustive = false;         // always true after a join: it is exact
+  std::size_t candidates = 0;      // posting entries the verify kernel tested
   std::size_t edges = 0;           // spanning edges emitted
 };
 
@@ -67,6 +73,6 @@ struct SetJoinStats {
 std::vector<std::uint64_t> sparse_affinity_edges(
     const std::vector<std::vector<std::uint32_t>>& task_sets,
     const std::function<bool(std::size_t both, std::size_t alone)>& is_edge,
-    const SetJoinOptions& options = {}, SetJoinStats* stats = nullptr);
+    SetJoinStats* stats = nullptr);
 
 }  // namespace sybiltd::candidate

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "simd/simd.h"
 
 namespace sybiltd::candidate {
 
@@ -107,25 +108,29 @@ void TaskSetIndex::neighbors(std::size_t a, double rho,
   const std::size_t size_a = sizes_[a];
   std::size_t prefix = size_a - (2 * size_a) / 3;
   const std::uint64_t* ra = row(a);
+  const simd::KernelTable& kernels = simd::kernels();
   for (std::size_t w = 0; w < words_ && prefix > 0; ++w) {
     for (std::uint64_t bits = ra[w]; bits != 0 && prefix > 0;
          bits &= bits - 1, --prefix) {
       const std::size_t task =
           w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      for (const std::uint32_t b : postings_[task]) {
-        // Exact verification of every entry, stale ones included.  The
-        // integer test T > 2L (necessary at rho >= 0, and implying the
-        // size filter min(|A|, |B|) > 2||A| - |B||) rejects nearly all
-        // candidates before the Eq. (6) arithmetic.
-        const std::size_t t = both(a, b);
-        const std::size_t l = size_a + sizes_[b] - 2 * t;
-        if (t > 2 * l && b != a && is_edge(a, b, rho)) out.push_back(b);
-      }
+      // Exact verification of every entry, stale ones included: the kernel
+      // keeps T > 2L (necessary at rho >= 0) straight into `out`.
+      const std::vector<std::uint32_t>& list = postings_[task];
+      const std::size_t at = out.size();
+      out.resize(at + list.size());
+      out.resize(at + kernels.set_join_verify(
+                          ra, words_, sizes_[a], bits_.data(), sizes_.data(),
+                          list.data(), list.size(), out.data() + at));
     }
   }
-  // A neighbour sharing several prefix tasks was found once per task.
+  // A neighbour sharing several prefix tasks was found once per task; a
+  // itself passes T > 2L; the Eq. (6) arithmetic decides the rest.
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::erase_if(out, [&](std::uint32_t b) {
+    return b == a || !is_edge(a, b, rho);
+  });
 }
 
 }  // namespace sybiltd::candidate

@@ -16,14 +16,18 @@
 // every list within twice its live length.
 //
 // neighbors(a, rho) returns a's Eq. (6) edges {b != a : A(a,b) > rho}:
-//   * rho >= 0 — prefix filtering (Xiao et al., PPJoin, WWW'08).  An edge
-//     needs T > 2L >= 2(|T_a| - T), i.e. T > (2/3)|T_a|, so at most
-//     |T_a| - floor(2|T_a|/3) - 1 of a's tasks are unshared and any
-//     |T_a| - floor(2|T_a|/3) of them contain a shared one.  Probing the
-//     posting lists of a's first that-many tasks therefore surfaces every
-//     neighbour, and an exact popcount verification decides each entry
-//     (the integer test T > 2L subsumes the size filter
-//     min(|T_a|, |T_b|) > 2 | |T_a| - |T_b| |).
+//   * rho >= 0 — prefix filtering, the same lemma as the batch join in
+//     setjoin.h (docs/GROUPING.md).  An edge needs T > 2L >= 2(|T_a| - T),
+//     i.e. T > (2/3)|T_a|, so at most |T_a| - floor(2|T_a|/3) - 1 of a's
+//     tasks are unshared and any |T_a| - floor(2|T_a|/3) of them contain
+//     a shared one.  Every list holds every account that has its task, so
+//     probing the lists of a's first that-many tasks surfaces every
+//     neighbour.  Each list is one simd::KernelTable::set_join_verify
+//     dispatch, the batch join's kernel: it keeps the entries with
+//     5T > 2(|T_a| + |T_b|), i.e. T > 2L, computed from the current rows,
+//     so a stale entry is judged by its account's present set.  (T > 2L
+//     subsumes the size filter min(|T_a|, |T_b|) > 2 | |T_a| - |T_b| |.)
+//     The few survivors get the exact Eq. (6) test.
 //   * rho < 0 — the necessity argument fails (even disjoint sets can clear
 //     a negative threshold), so every account is verified.
 //

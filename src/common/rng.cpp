@@ -7,14 +7,16 @@
 
 namespace sybiltd {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
+namespace {
+
+// SplitMix64 step, used to expand the seed into the xoshiro state.
+std::uint64_t split_mix(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
 
-namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -22,7 +24,7 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
+  for (auto& s : s_) s = split_mix(sm);
 }
 
 std::uint64_t Rng::next() {

@@ -12,9 +12,6 @@
 
 namespace sybiltd {
 
-// SplitMix64: used for seeding and cheap stateless hashing of seed material.
-std::uint64_t splitmix64(std::uint64_t& state);
-
 // xoshiro256++ PRNG with convenience distributions.  Satisfies the
 // UniformRandomBitGenerator requirements so it can also drive <random>.
 class Rng {

@@ -25,7 +25,8 @@ struct AgTsMetrics {
       "agts.join.collapsed",
       "accounts folded behind an identical-set representative");
   obs::Counter& join_candidates = obs::MetricsRegistry::global().counter(
-      "agts.join.candidates", "representative pairs verified exactly");
+      "agts.join.candidates",
+      "posting entries tested by the set-join verify kernel");
   obs::Counter& join_edges = obs::MetricsRegistry::global().counter(
       "agts.join.edges", "spanning edges emitted by the set join");
 
@@ -131,7 +132,7 @@ AccountGrouping AgTs::group_with_stats(const FrameworkInput& input,
       [rho, m](std::size_t both, std::size_t alone) {
         return affinity(both, alone, m) > rho;
       },
-      options_.set_join, &join_stats);
+      &join_stats);
   metrics.join_collapsed.inc(join_stats.collapsed);
   metrics.join_candidates.inc(join_stats.candidates);
   metrics.join_edges.inc(join_stats.edges);

@@ -8,9 +8,9 @@
 //
 // The threshold picks the evaluation:
 //   * rho >= 0 — an edge needs T > 2L, i.e. Jaccard similarity above 2/3,
-//     so candidate::sparse_affinity_edges (identical-set collapse +
-//     candidate pairs + exact verification) finds the components without
-//     ever materializing a dense matrix;
+//     so candidate::sparse_affinity_edges (identical-set collapse + an
+//     exact prefix join) finds the components without ever materializing
+//     a dense matrix;
 //   * rho < 0 — that necessity fails, so the n x n affinity matrix (also
 //     exposed for the Fig. 3 bench) is thresholded directly.
 //
@@ -33,7 +33,6 @@ namespace sybiltd::core {
 
 struct AgTsOptions {
   double rho = 1.0;  // edge threshold (paper's example value)
-  candidate::SetJoinOptions set_join;  // sparse path (rho >= 0) only
 };
 
 // Counters from one group() run, for the scalability bench.

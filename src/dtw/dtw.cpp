@@ -293,7 +293,7 @@ double dtw_distance(std::span<const double> a, std::span<const double> b,
   // uninitialized and only the band-edge cells are ever cleared: row i
   // writes its whole band [j_lo, j_hi], so the only cells a later row can
   // read without this row having written them are the two just outside the
-  // band (the bands of consecutive rows shift by at most one column).
+  // band (the band moves by at most one column from row to row).
   // Those get an explicit infinity; everything further out is unreachable.
   auto prev_storage = Workspace::local().borrow<Cell>(n);
   auto curr_storage = Workspace::local().borrow<Cell>(n);

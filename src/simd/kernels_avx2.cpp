@@ -26,6 +26,7 @@ const KernelTable& table() {
       max_abs_diff,  squared_distance,
       weighted_sum_gather,
       scan_json_ws,  scan_json_string,
+      set_join_verify,
   };
   return t;
 }

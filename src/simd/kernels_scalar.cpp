@@ -6,6 +6,7 @@
 // exactly.  This TU is compiled with the project default flags — no
 // vector -m options, no -ffp-contract override — for the same reason.
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -145,6 +146,27 @@ std::size_t scan_json_string(const char* data, std::size_t begin,
   return end;
 }
 
+std::size_t set_join_verify(const std::uint64_t* probe, std::size_t words,
+                            std::uint32_t probe_size,
+                            const std::uint64_t* rows,
+                            const std::uint32_t* sizes,
+                            const std::uint32_t* ids, std::size_t n,
+                            std::uint32_t* out) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t id = ids[i];
+    std::uint64_t both = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      both += static_cast<std::uint64_t>(
+          std::popcount(probe[w] & rows[id * words + w]));
+    }
+    if (5 * both > 2 * (std::uint64_t{probe_size} + sizes[id])) {
+      out[kept++] = id;
+    }
+  }
+  return kept;
+}
+
 }  // namespace
 
 const KernelTable& table() {
@@ -155,6 +177,7 @@ const KernelTable& table() {
       max_abs_diff,  squared_distance,
       weighted_sum_gather,
       scan_json_ws,  scan_json_string,
+      set_join_verify,
   };
   return t;
 }

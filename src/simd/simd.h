@@ -4,7 +4,8 @@
 // remaining multiplier is data-level parallelism.  This module provides a
 // small set of fixed-signature kernels (DTW wavefront cells, z-normalize,
 // squared-Euclidean distance, Welch window/PSD accumulation, CRH
-// weighted-sum/residual reductions), each implemented once per instruction
+// weighted-sum/residual reductions, the AG-TS set-join popcount
+// verify), each implemented once per instruction
 // set, selected at runtime:
 //
 //     AVX2  →  SSE2 (x86-64 baseline)  →  NEON (aarch64)  →  scalar
@@ -34,6 +35,11 @@
 //  - Byte-scan kernels (scan_json_ws, scan_json_string, used by the
 //    server's schema-specialized report decoder) return exact indexes and
 //    are trivially identical at every level.
+//  - The set-join verify kernel (set_join_verify, the AG-TS join's and
+//    the streaming task-set index's one popcount loop) is integer-only, so
+//    its output ids are identical at every level.  The AVX2 TU compiles
+//    its std::popcount to the hardware instruction (-mavx2 implies
+//    popcnt); the other levels keep the portable sequence.
 //  - The level is read once per kernel call; with the level held fixed,
 //    results are invariant across runs and thread counts.
 //    `SYBILTD_SIMD=scalar` reproduces the pre-SIMD scalar code exactly.
@@ -125,6 +131,19 @@ struct KernelTable {
   // body: '"', '\\', or any control byte < 0x20; `end` when none occurs.
   std::size_t (*scan_json_string)(const char* data, std::size_t begin,
                                   std::size_t end);
+
+  // --- Exact set-join verify for AG-TS (Eq. 6): integer, exact ------------
+
+  // Of the posting ids[0..n), write to `out` (in input order) each id whose
+  // bitset row rows[id * words .. +words) shares T tasks with `probe` such
+  // that 5T > 2(probe_size + sizes[id]), i.e. T > 2L with L the symmetric
+  // difference; returns how many were written.  `out` may hold n ids.
+  std::size_t (*set_join_verify)(const std::uint64_t* probe,
+                                 std::size_t words, std::uint32_t probe_size,
+                                 const std::uint64_t* rows,
+                                 const std::uint32_t* sizes,
+                                 const std::uint32_t* ids, std::size_t n,
+                                 std::uint32_t* out);
 };
 
 // The active dispatch level (detected on first use, then fixed until

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -233,7 +235,7 @@ TEST(AgTsSparse, MatchesDensePartitionOnScenarios) {
       core::AgTsStats stats;
       const auto grouping = core::AgTs(opt).group_with_stats(input, &stats);
       EXPECT_EQ(stats.sparse, rho >= 0.0);
-      // Few distinct sets at this scale: the exhaustive tier runs.
+      // The join runs exactly whenever the sparse path is taken.
       EXPECT_EQ(stats.join.exhaustive, stats.sparse);
       EXPECT_EQ(grouping.labels(), oracle::agts_dense_labels(input, rho))
           << "seed " << seed << " rho " << rho;
@@ -241,21 +243,95 @@ TEST(AgTsSparse, MatchesDensePartitionOnScenarios) {
   }
 }
 
-TEST(AgTsSparse, LshTierMatchesDenseOnScenarios) {
-  for (std::uint64_t seed : {1ull, 2ull, 7ull}) {
-    const auto input = scenario_input(60, 6, 4, 24, seed);
-    for (const double rho : kAgTsRhos) {
-      core::AgTsOptions lsh_opt;
-      lsh_opt.rho = rho;
-      lsh_opt.set_join.exact_distinct_cap = 0;  // force the MinHash tier
-      core::AgTsStats stats;
-      const auto grouping =
-          core::AgTs(lsh_opt).group_with_stats(input, &stats);
-      EXPECT_EQ(stats.sparse, rho >= 0.0);
-      EXPECT_FALSE(stats.join.exhaustive);
-      EXPECT_EQ(grouping.labels(), oracle::agts_dense_labels(input, rho))
-          << "seed " << seed << " rho " << rho;
+// Row-major task bitsets, the brute-force oracles' representation.
+std::vector<std::uint64_t> task_rows(
+    const std::vector<std::vector<std::uint32_t>>& sets, std::size_t words) {
+  std::vector<std::uint64_t> rows(sets.size() * words, 0);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (const std::uint32_t t : sets[i]) {
+      rows[i * words + t / 64] |= std::uint64_t{1} << (t % 64);
     }
+  }
+  return rows;
+}
+
+std::size_t row_overlap(const std::vector<std::uint64_t>& rows,
+                        std::size_t words, std::size_t i, std::size_t j) {
+  std::size_t both = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    both += static_cast<std::size_t>(
+        std::popcount(rows[i * words + w] & rows[j * words + w]));
+  }
+  return both;
+}
+
+// Above the 4,096 distinct sets where a MinHash tier used to take over:
+// 5,000 accounts over 64 tasks with random 4-12 task schedules, Sybil
+// groups of five replaying one schedule, and near-clones (one task
+// swapped, dropped or added) so the join must find cross-set edges.
+// Labels must equal a brute-force popcount sweep over all pairs.
+TEST(AgTsSparse, ExactJoinMatchesBruteForceAboveOldCap) {
+  constexpr std::size_t kTasks = 64;
+  constexpr std::size_t kAccounts = 5000;
+  std::mt19937_64 rng(4096);
+  std::uniform_int_distribution<std::size_t> task(0, kTasks - 1);
+  std::uniform_int_distribution<std::size_t> length(4, 12);
+  std::vector<std::vector<std::uint32_t>> sets(kAccounts);
+  for (std::size_t i = 0; i < kAccounts; ++i) {
+    std::set<std::uint32_t> chosen;
+    if (i < 1000 && i % 5 != 0) {
+      const auto& schedule = sets[i - i % 5];
+      chosen.insert(schedule.begin(), schedule.end());
+      if (i >= 500) {
+        // Near-clone: drop the first or last task and/or add a new one.
+        if (i % 5 != 3) {
+          chosen.erase(i % 2 != 0 ? chosen.begin() : std::prev(chosen.end()));
+        }
+        const std::size_t target = chosen.size() + (i % 5 != 2 ? 1 : 0);
+        while (chosen.size() < target) {
+          chosen.insert(static_cast<std::uint32_t>(task(rng)));
+        }
+      }
+    } else {
+      const std::size_t len = length(rng);
+      while (chosen.size() < len) {
+        chosen.insert(static_cast<std::uint32_t>(task(rng)));
+      }
+    }
+    sets[i].assign(chosen.begin(), chosen.end());
+  }
+  core::FrameworkInput input;
+  input.task_count = kTasks;
+  input.accounts.resize(kAccounts);
+  for (std::size_t i = 0; i < kAccounts; ++i) {
+    for (const std::uint32_t t : sets[i]) {
+      input.accounts[i].reports.push_back({t, -60.0, 0.0});
+    }
+  }
+  const auto rows = task_rows(sets, 1);
+  for (const double rho : {0.0, 1.0}) {
+    core::AgTsOptions opt;
+    opt.rho = rho;
+    core::AgTsStats stats;
+    const auto grouping = core::AgTs(opt).group_with_stats(input, &stats);
+    ASSERT_TRUE(stats.sparse);
+    EXPECT_TRUE(stats.join.exhaustive);
+    EXPECT_GT(stats.join.distinct_sets, 4096u);
+    EXPECT_GT(stats.join.collapsed, 0u);
+    graph::UnionFind brute(kAccounts);
+    std::size_t cross_edges = 0;
+    for (std::size_t i = 0; i < kAccounts; ++i) {
+      for (std::size_t j = i + 1; j < kAccounts; ++j) {
+        const std::size_t both = row_overlap(rows, 1, i, j);
+        const std::size_t alone = sets[i].size() + sets[j].size() - 2 * both;
+        if (core::AgTs::affinity(both, alone, kTasks) > rho) {
+          brute.unite(i, j);
+          cross_edges += alone > 0;
+        }
+      }
+    }
+    EXPECT_GT(cross_edges, 0u) << "rho " << rho;
+    EXPECT_EQ(grouping.labels(), brute.labels()) << "rho " << rho;
   }
 }
 
@@ -268,45 +344,174 @@ TEST(AgTsSparse, NegativeRhoKeepsDensePath) {
   EXPECT_FALSE(stats.sparse) << "rho < 0 must stay dense";
 }
 
+// Task universes below and well above one 64-bit word (where several
+// tasks share each bit of the join's one-word rows).
 TEST(SetJoin, ComponentsMatchBruteForceOnRandomSets) {
-  std::mt19937_64 rng(99);
-  const std::size_t m = 30;
-  const std::size_t n = 120;
-  std::uniform_int_distribution<std::uint32_t> task(0, m - 1);
-  std::uniform_int_distribution<int> size(0, 10);
-  std::vector<std::vector<std::uint32_t>> sets(n);
-  for (auto& set : sets) {
-    const int s = size(rng);
-    std::set<std::uint32_t> chosen;
-    while (static_cast<int>(chosen.size()) < s) chosen.insert(task(rng));
-    set.assign(chosen.begin(), chosen.end());
-  }
-  // Clone a few sets to exercise the collapse tier.
-  for (std::size_t k = 0; k < 20; ++k) sets[n - 1 - k] = sets[k];
-  const double rho = 0.2;
-  const auto is_edge = [&](std::size_t both, std::size_t alone) {
-    return core::AgTs::affinity(both, alone, m) > rho;
-  };
-  candidate::SetJoinStats stats;
-  const auto edges =
-      candidate::sparse_affinity_edges(sets, is_edge, {}, &stats);
-  EXPECT_GT(stats.collapsed, 0u);
-  graph::UnionFind sparse_uf(n);
-  for (const std::uint64_t e : edges) {
-    sparse_uf.unite(candidate::pair_first(e), candidate::pair_second(e));
-  }
-  graph::UnionFind brute_uf(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      std::size_t both = 0;
-      for (std::uint32_t t : sets[i]) {
-        both += std::binary_search(sets[j].begin(), sets[j].end(), t);
+  for (const std::size_t m : {std::size_t{30}, std::size_t{300}}) {
+    std::mt19937_64 rng(99 + m);
+    const std::size_t n = 400;
+    std::uniform_int_distribution<std::uint32_t> task(0, m - 1);
+    std::uniform_int_distribution<int> size(0, 10);
+    std::vector<std::vector<std::uint32_t>> sets(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::set<std::uint32_t> chosen;
+      if (i >= 200 && i % 2 == 0) {
+        // Near-clone of an earlier set: swap one task, keeping J > 2/3
+        // for the larger sets.
+        chosen.insert(sets[i - 200].begin(), sets[i - 200].end());
+        if (!chosen.empty()) chosen.erase(chosen.begin());
+        chosen.insert(task(rng));
+      } else {
+        const int s = size(rng);
+        while (static_cast<int>(chosen.size()) < s) chosen.insert(task(rng));
       }
-      const std::size_t alone = sets[i].size() + sets[j].size() - 2 * both;
-      if (is_edge(both, alone)) brute_uf.unite(i, j);
+      sets[i].assign(chosen.begin(), chosen.end());
+    }
+    // Clone a few sets to exercise the collapse tier.
+    for (std::size_t k = 0; k < 20; ++k) sets[n - 1 - 2 * k] = sets[k];
+    const double rho = 6.0 / static_cast<double>(m);  // 0.2 at m = 30
+    const auto is_edge = [&](std::size_t both, std::size_t alone) {
+      return core::AgTs::affinity(both, alone, m) > rho;
+    };
+    candidate::SetJoinStats stats;
+    const auto edges =
+        candidate::sparse_affinity_edges(sets, is_edge, &stats);
+    EXPECT_GT(stats.collapsed, 0u);
+    graph::UnionFind sparse_uf(n);
+    for (const std::uint64_t e : edges) {
+      sparse_uf.unite(candidate::pair_first(e), candidate::pair_second(e));
+    }
+    graph::UnionFind brute_uf(n);
+    std::size_t cross_edges = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        std::size_t both = 0;
+        for (std::uint32_t t : sets[i]) {
+          both += std::binary_search(sets[j].begin(), sets[j].end(), t);
+        }
+        const std::size_t alone = sets[i].size() + sets[j].size() - 2 * both;
+        if (is_edge(both, alone)) {
+          brute_uf.unite(i, j);
+          cross_edges += alone > 0;
+        }
+      }
+    }
+    EXPECT_GT(cross_edges, 0u) << "m " << m;
+    EXPECT_EQ(sparse_uf.labels(), brute_uf.labels()) << "m " << m;
+  }
+}
+
+// The prefix join's boundaries, pair by pair.  For every |A|, |B| in
+// 1..15 and every overlap T, two sets (plus, in one layout, decoys that
+// make the unshared tasks common so the shared ones rank first) must give
+// exactly the brute-force edge list under the loosest admissible
+// predicate T > 2L.  This covers every floor(2s/3) and floor(4s/5) prefix
+// length, pairs exactly at 5T = 2(|A| + |B|) and at 3|B| = 2|A|, and
+// equal-size ties; task ids are spread over three bitset words (m = 130),
+// so several tasks share each bit of the join's one-word rows.
+TEST(SetJoin, PrefixAndSizeBoundaries) {
+  constexpr std::size_t kTasks = 130;
+  const auto is_edge = [](std::size_t both, std::size_t alone) {
+    return both > 2 * alone;
+  };
+  const auto check = [&](const std::vector<std::vector<std::uint32_t>>& sets,
+                         const std::string& what) {
+    std::uint32_t top = 0;
+    for (const auto& set : sets) {
+      if (!set.empty()) top = std::max(top, set.back());
+    }
+    const std::size_t words = top / 64 + 1;
+    const auto rows = task_rows(sets, words);
+    std::vector<std::uint64_t> want;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      for (std::size_t j = i + 1; j < sets.size(); ++j) {
+        const std::size_t both = row_overlap(rows, words, i, j);
+        if (is_edge(both, sets[i].size() + sets[j].size() - 2 * both)) {
+          want.push_back(candidate::pack_pair(i, j));
+        }
+      }
+    }
+    candidate::SetJoinStats stats;
+    EXPECT_EQ(candidate::sparse_affinity_edges(sets, is_edge, &stats), want)
+        << what;
+    EXPECT_TRUE(stats.exhaustive);
+    return !want.empty();
+  };
+  // Local task k -> a task id spread across the three words.
+  const auto spread = [](std::size_t k) {
+    return static_cast<std::uint32_t>((k * 67) % kTasks);
+  };
+  std::size_t at_ratio_boundary = 0, at_size_boundary = 0, edges = 0;
+  for (std::size_t size_a = 1; size_a <= 15; ++size_a) {
+    for (std::size_t size_b = 1; size_b <= 15; ++size_b) {
+      for (std::size_t both = 0; both <= std::min(size_a, size_b); ++both) {
+        // A = shared + own_a, B = shared + own_b, all distinct tasks.
+        std::vector<std::uint32_t> a, b, decoy;
+        std::size_t next = 0;
+        for (std::size_t k = 0; k < both; ++k) {
+          a.push_back(spread(next));
+          b.push_back(spread(next++));
+        }
+        for (std::size_t k = both; k < size_a; ++k) {
+          decoy.push_back(spread(next));
+          a.push_back(spread(next++));
+        }
+        for (std::size_t k = both; k < size_b; ++k) {
+          decoy.push_back(spread(next));
+          b.push_back(spread(next++));
+        }
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        std::sort(decoy.begin(), decoy.end());
+        if (a == b) continue;  // the collapse tier, tested elsewhere
+        at_ratio_boundary += 5 * both == 2 * (size_a + size_b);
+        at_size_boundary += 3 * std::min(size_a, size_b) ==
+                            2 * std::max(size_a, size_b);
+        const std::string what = "|A| " + std::to_string(size_a) + " |B| " +
+                                 std::to_string(size_b) + " T " +
+                                 std::to_string(both);
+        edges += check({a, b}, what);
+        // Decoys: each unshared task appears in two more sets, so the
+        // shared tasks rank rarest and the probe order flips.
+        if (decoy.empty()) continue;
+        std::vector<std::uint32_t> decoy_b = decoy;
+        decoy_b.push_back(spread(next));
+        std::sort(decoy_b.begin(), decoy_b.end());
+        check({a, b, decoy, decoy_b}, what + " with decoys");
+      }
     }
   }
-  EXPECT_EQ(sparse_uf.labels(), brute_uf.labels());
+  EXPECT_GT(at_ratio_boundary, 10u);
+  EXPECT_GT(at_size_boundary, 10u);
+  EXPECT_GT(edges, 50u);
+
+  // Equal-size ties: eight sets of size 10, each one task away from the
+  // next, processed in representative-id order.
+  std::vector<std::vector<std::uint32_t>> ties;
+  for (std::uint32_t s = 0; s < 8; ++s) {
+    std::vector<std::uint32_t> set;
+    for (std::uint32_t k = 0; k < 10; ++k) set.push_back(spread(s + k));
+    std::sort(set.begin(), set.end());
+    ties.push_back(set);
+  }
+  EXPECT_TRUE(check(ties, "equal-size ties"));
+
+  // Tasks t and t + 64 share a bit of an OR-folded 64-bit word, so a
+  // folded popcount alone would give T = 4 and drop this edge (T = 5,
+  // L = 2); the join's fold adds A's excess tasks per bit back.
+  EXPECT_TRUE(check({{0, 1, 2, 3, 4, 64}, {0, 1, 2, 3, 5, 64}}, "t, t + 64"));
+  // Every task in one bit: the excess bound filters nothing (a negative
+  // bound), and the exact check alone must find the edges.
+  std::vector<std::vector<std::uint32_t>> one_bit;
+  for (std::uint32_t drop = 0; drop < 3; ++drop) {
+    std::vector<std::uint32_t> set;
+    for (std::uint32_t k = 0; k < 10; ++k) {
+      if (k != drop) set.push_back(64 * k);
+    }
+    one_bit.push_back(set);
+  }
+  one_bit.push_back({0, 64});
+  EXPECT_TRUE(check(one_bit, "one bit"));
 }
 
 // --- Incremental components ------------------------------------------------

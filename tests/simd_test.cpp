@@ -354,6 +354,89 @@ TEST_F(SimdKernelTest, SumReductionsWithinEnvelopeAndLaneStable) {
   }
 }
 
+// The AG-TS set-join verify kernel is integer-only: at every level its
+// output ids must equal the scalar table's, and the scalar table must equal
+// a direct evaluation of 5T > 2(|A| + |B|).  Rows are one word (m <= 64,
+// the hot case) and three words; runs are empty, mixed (rows up to |A|/2
+// bit flips from the probe, on both sides of the T > 2L boundary), all
+// passing (copies of the probe) and all failing (disjoint from the probe).
+TEST_F(SimdKernelTest, SetJoinVerifyExactAtEveryLevel) {
+  Rng rng(6677);
+  for (const std::size_t words : {std::size_t{1}, std::size_t{3}}) {
+    const std::size_t bits = 64 * words;
+    std::vector<std::uint64_t> probe(words);
+    for (std::uint64_t& w : probe) w = rng() & rng();  // ~1/4 density
+    probe[0] |= 1;  // never empty
+    std::uint32_t probe_size = 0;
+    for (const std::uint64_t w : probe) probe_size += std::popcount(w);
+
+    // Rows: [0, 64) mutants of the probe, [64, 80) copies, [80, 96)
+    // disjoint from it.
+    constexpr std::size_t kRows = 96;
+    std::vector<std::uint64_t> rows(kRows * words);
+    std::vector<std::uint32_t> sizes(kRows, 0);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      std::uint64_t* row = rows.data() + r * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        row[w] = r < 80 ? probe[w] : ~probe[w] & rng();
+      }
+      if (r < 64) {
+        std::size_t flips = rng.uniform_index(probe_size / 2 + 2);
+        for (; flips > 0; --flips) {
+          const std::size_t bit = rng.uniform_index(bits);
+          row[bit / 64] ^= std::uint64_t{1} << (bit % 64);
+        }
+      }
+      for (std::size_t w = 0; w < words; ++w) sizes[r] += std::popcount(row[w]);
+    }
+    const auto passes = [&](std::uint32_t id) {
+      std::uint64_t both = 0;
+      for (std::size_t w = 0; w < words; ++w) {
+        both += std::popcount(probe[w] & rows[id * words + w]);
+      }
+      return 5 * both > 2 * (std::uint64_t{probe_size} + sizes[id]);
+    };
+    std::size_t mixed_kept = 0, mixed_total = 0;
+    for (std::size_t n : kLengths) {
+      for (int kind = 0; kind < 3; ++kind) {
+        // kind 0: mixed (with repeats), 1: all copies, 2: all disjoint.
+        std::vector<std::uint32_t> ids(n);
+        for (std::uint32_t& id : ids) {
+          const std::size_t base = kind == 0 ? 0 : kind == 1 ? 64 : 80;
+          const std::size_t span = kind == 0 ? 64 : 16;
+          id = static_cast<std::uint32_t>(base + rng.uniform_index(span));
+        }
+        std::vector<std::uint32_t> want;
+        for (const std::uint32_t id : ids) {
+          if (passes(id)) want.push_back(id);
+        }
+        if (kind == 1) {
+          ASSERT_EQ(want.size(), n);
+        } else if (kind == 2) {
+          ASSERT_TRUE(want.empty());
+        }
+        if (kind == 0) {
+          mixed_kept += want.size();
+          mixed_total += n;
+        }
+        for (const Level level : simd::available_levels()) {
+          const KernelTable& table = *simd::table_for(level);
+          std::vector<std::uint32_t> got(n);
+          got.resize(table.set_join_verify(probe.data(), words, probe_size,
+                                           rows.data(), sizes.data(),
+                                           ids.data(), n, got.data()));
+          ASSERT_EQ(got, want) << "set_join_verify at "
+                               << simd::level_name(level) << " words="
+                               << words << " n=" << n << " kind=" << kind;
+        }
+      }
+    }
+    // The mixed runs must exercise both outcomes.
+    EXPECT_GT(mixed_kept, 0u) << "words=" << words;
+    EXPECT_LT(mixed_kept, mixed_total) << "words=" << words;
+  }
+}
+
 // End-to-end: the diagonal-wavefront DTW selected at vector levels must
 // reproduce the serial rolling-row DP bit for bit, and the cost-only DP
 // must match dtw_full's total_cost, at every level and band width.
