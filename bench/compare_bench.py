@@ -13,7 +13,7 @@ committed BENCH_baseline.json:
 
     # Fail if anything regressed by more than 25% relative to baseline:
     python3 bench/compare_bench.py compare BENCH_baseline.json \
-        current.json --tolerance 0.25 --normalize-by 'BM_DtwFull/64'
+        current.json --tolerance 0.25 --normalize-by 'BM_DtwWavefront'
 
 Only stdlib is used.  `--normalize-by` divides every time by the named
 benchmark's time *within the same file*, so the comparison is a ratio of

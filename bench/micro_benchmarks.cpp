@@ -175,49 +175,6 @@ void BM_FingerprintCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintCapture);
 
-void BM_DtwFull(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_series(n, 5);
-  const auto b = random_series(n, 6);
-  benchmark::DoNotOptimize(dtw::dtw_distance(a, b));  // warm workspace
-  CounterDelta heap_allocs("workspace.heap_allocations");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dtw::dtw_distance(a, b));
-  }
-  state.counters["ws_heap_allocs"] =
-      benchmark::Counter(heap_allocs.delta(), benchmark::Counter::kAvgIterations);
-  state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
-}
-BENCHMARK(BM_DtwFull)->RangeMultiplier(2)->Range(16, 512)
-    ->Complexity(benchmark::oNSquared);
-
-void BM_DtwBanded(benchmark::State& state) {
-  const auto a = random_series(512, 7);
-  const auto b = random_series(512, 8);
-  dtw::DtwOptions opt;
-  opt.band = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dtw::dtw_distance(a, b, opt));
-  }
-}
-BENCHMARK(BM_DtwBanded)->Arg(8)->Arg(32)->Arg(128)->Arg(0);
-
-void BM_DtwZnorm(benchmark::State& state) {
-  const auto a = random_series(512, 21);
-  const auto b = random_series(512, 22);
-  dtw::DtwOptions opt;
-  opt.band = 32;
-  benchmark::DoNotOptimize(dtw::dtw_distance_znorm(a, b, opt));
-  CounterDelta heap_allocs("workspace.heap_allocations");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dtw::dtw_distance_znorm(a, b, opt));
-  }
-  state.counters["ws_heap_allocs"] =
-      benchmark::Counter(heap_allocs.delta(), benchmark::Counter::kAvgIterations);
-  attach_simd_level(state);
-}
-BENCHMARK(BM_DtwZnorm);
-
 void BM_DtwWavefront(benchmark::State& state) {
   // The cost-only DP: at vector levels this runs the diagonal-wavefront
   // recurrence through the dtw_wave_cost kernel, at scalar the serial

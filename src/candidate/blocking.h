@@ -38,8 +38,9 @@ struct BlockingStats {
 };
 
 // Unordered pairs (i < j) packed as (i << 32) | j, sorted ascending — the
-// lexicographic order of an all-pairs loop, which is what keeps AG-TR's
-// grouping bit-identical to the all-pairs edge fold.  Accounts with empty
+// lexicographic order of an all-pairs loop, so the output (and the
+// cascade's per-pair work and counters) is deterministic and does not
+// depend on the grid's unordered_map iteration order.  Accounts with empty
 // series are skipped (they are never edges).  phi <= 0 admits no edge at
 // all, so the candidate list is empty.
 std::vector<std::uint64_t> endpoint_grid_candidates(

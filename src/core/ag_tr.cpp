@@ -9,7 +9,7 @@
 #include "candidate/features.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "graph/graph.h"
+#include "graph/union_find.h"
 #include "obs/metrics.h"
 
 namespace sybiltd::core {
@@ -146,9 +146,10 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
 
   AgTrStats local;
   local.pairs = ThreadPool::pair_count(n);
-  // Candidate pairs in lexicographic (i, j) order, so the serial edge fold
-  // below builds the same graph — and the same grouping — at every thread
-  // count.  Blocking emits only the pairs that could have D < phi.
+  // Candidate pairs in lexicographic (i, j) order; the serial union-find
+  // pass below reads the components off the edges, so the grouping is the
+  // same at every thread count.  Blocking emits only the pairs that could
+  // have D < phi.
   std::vector<std::uint64_t> pairs;
   if (bounded) {
     pairs = candidate::endpoint_grid_candidates(fps, phi);
@@ -182,13 +183,13 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
     }
     outcome[k] = static_cast<std::uint8_t>(result);
   });
-  graph::UndirectedGraph g(n);
+  graph::UnionFind uf(n);
   candidate::CascadeStats cascade_stats;
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     cascade_stats.count(static_cast<CascadeOutcome>(outcome[k]));
     if (dissim[k] < phi) {
-      g.add_edge(candidate::pair_first(pairs[k]),
-                 candidate::pair_second(pairs[k]), dissim[k]);
+      uf.unite(candidate::pair_first(pairs[k]),
+               candidate::pair_second(pairs[k]));
     }
   }
 
@@ -210,7 +211,7 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
   metrics.task_abandoned.inc(local.task_abandoned);
   metrics.exact_pairs.inc(local.exact_pairs);
   if (stats != nullptr) *stats = local;
-  return AccountGrouping(g.connected_components(), n);
+  return AccountGrouping::from_labels(uf.labels());
 }
 
 }  // namespace sybiltd::core

@@ -6,7 +6,7 @@
 #include "candidate/blocking.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "graph/graph.h"
+#include "graph/union_find.h"
 #include "obs/metrics.h"
 
 namespace sybiltd::core {
@@ -118,9 +118,13 @@ AccountGrouping AgTs::group_with_stats(const FrameworkInput& input,
   if (rho < 0.0) {
     metrics.dense_groupings.inc();
     const auto affinities = affinity_matrix(input);
-    const auto g = graph::threshold_graph(
-        affinities, [rho](double a) { return a > rho; });
-    return AccountGrouping(g.connected_components(), n);
+    graph::UnionFind uf(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (affinities[i][j] > rho) uf.unite(i, j);
+      }
+    }
+    return AccountGrouping::from_labels(uf.labels());
   }
 
   metrics.sparse_groupings.inc();
@@ -140,11 +144,11 @@ AccountGrouping AgTs::group_with_stats(const FrameworkInput& input,
     stats->sparse = true;
     stats->join = join_stats;
   }
-  graph::UndirectedGraph g(n);
+  graph::UnionFind uf(n);
   for (std::uint64_t packed : edges) {
-    g.add_edge(candidate::pair_first(packed), candidate::pair_second(packed));
+    uf.unite(candidate::pair_first(packed), candidate::pair_second(packed));
   }
-  return AccountGrouping(g.connected_components(), n);
+  return AccountGrouping::from_labels(uf.labels());
 }
 
 }  // namespace sybiltd::core

@@ -5,8 +5,10 @@
 // uses the Ratanamahatana–Keogh normalization (Eq. 7):
 //     DTW(A, B) = sqrt( sum of squared distances along the optimal path / K )
 // where K is the path length.  This file provides the full O(mn) dynamic
-// program, an optional Sakoe–Chiba band constraint, warping-path recovery,
-// a z-normalized variant, and the lower bounds AG-TR's cascade prunes with.
+// program with warping-path recovery, a cost-only variant without the path
+// (diagonal-wavefront SIMD at vector dispatch levels), an optional
+// Sakoe–Chiba band constraint, and the lower bounds AG-TR's cascade prunes
+// with.
 #pragma once
 
 #include <cstddef>
@@ -36,21 +38,12 @@ struct DtwResult {
 DtwResult dtw_full(std::span<const double> a, std::span<const double> b,
                    const DtwOptions& options = {});
 
-// Distance only (no path materialization; O(min(m,n)) memory).
-double dtw_distance(std::span<const double> a, std::span<const double> b,
-                    const DtwOptions& options = {});
-
 // Total accumulated squared cost only — the value dtw_full reports as
 // total_cost, bit-identical, without materializing the path.  The cost
 // recurrence is a pure min over exact values, so the result is the same
 // at every SIMD dispatch level.
 double dtw_total_cost(std::span<const double> a, std::span<const double> b,
                       const DtwOptions& options = {});
-
-// DTW distance after z-normalizing both series (constant series map to 0).
-double dtw_distance_znorm(std::span<const double> a,
-                          std::span<const double> b,
-                          const DtwOptions& options = {});
 
 // LB_Keogh (Keogh & Ratanamahatana 2005): a lower bound on the *total
 // squared cost* of any band-constrained warping of `candidate` onto

@@ -1,7 +1,7 @@
 #include "graph/union_find.h"
 
+#include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/error.h"
 
@@ -49,12 +49,16 @@ bool UnionFind::connected(std::size_t a, std::size_t b) {
 std::size_t UnionFind::size_of(std::size_t x) { return size_[find(x)]; }
 
 std::vector<std::size_t> UnionFind::labels() {
-  std::unordered_map<std::size_t, std::size_t> remap;
+  // label_of_root[r] is the label of the set rooted at r, npos until the
+  // set's first element is met; labels are handed out in that order.
+  constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> label_of_root(parent_.size(), npos);
   std::vector<std::size_t> out(parent_.size());
+  std::size_t next = 0;
   for (std::size_t i = 0; i < parent_.size(); ++i) {
-    const std::size_t root = find(i);
-    auto [it, inserted] = remap.try_emplace(root, remap.size());
-    out[i] = it->second;
+    std::size_t& label = label_of_root[find(i)];
+    if (label == npos) label = next++;
+    out[i] = label;
   }
   return out;
 }

@@ -1,6 +1,8 @@
-// Disjoint-set union with path compression and union by size: the
-// component finder behind graph::IncrementalComponents and AG-COMBO's
-// join, and the grouping oracles in tests/ and bench/.
+// Disjoint-set union with path compression and union by size: the one
+// component finder.  Batch AG-TS and AG-TR unite their grouping edges here
+// and read the groups off labels(); graph::IncrementalComponents builds on
+// it for the streaming shard, as do AG-COMBO's join and the grouping
+// oracles in tests/ and bench/.
 #pragma once
 
 #include <cstddef>

@@ -20,17 +20,20 @@
 //     filtered posting lists for rho >= 0) and fed to
 //     graph::IncrementalComponents,
 //   * warm CRH truth state at the group granularity, refined a few
-//     iterations per micro-batch the way truth::OnlineCrh refines per
-//     observation.
+//     warm-started iterations per micro-batch instead of re-running batch
+//     CRH from scratch.
 //
-// Forgetting follows OnlineCrh semantics lifted to the grouped setting:
-// each observation records its arrival step; once its influence
-// decay^age falls below influence_floor it is evicted, which updates the
-// task-set index and (possibly) splits groups.  Arrivals are kept in FIFO
-// order, so eviction pops the oldest entries instead of scanning every
-// slot.  With decay = 1 nothing is ever forgotten and a drained shard
-// reproduces the batch core::run_framework output exactly (tested to
-// 1e-9).
+// Forgetting (the "evolving truth" setting): each observation records the
+// campaign's arrival step when it was written, and its influence is
+// decay^age with age counted in arrival steps.  Once the influence falls
+// below influence_floor the observation is evicted, which updates the
+// task-set index and (possibly) splits groups.  An observation therefore
+// lives for a horizon of ln(influence_floor) / ln(decay) arrival steps;
+// a re-submission re-stamps it and restarts its horizon.  Arrivals are
+// kept in FIFO order, so eviction pops the oldest entries instead of
+// scanning every slot.  With decay = 1 nothing is ever forgotten and a
+// drained shard reproduces the batch core::run_framework output exactly
+// (tested to 1e-9).
 //
 // Threading contract: all CampaignState mutation happens on the shard's
 // worker thread; readers see results only through the published

@@ -21,9 +21,9 @@ namespace {
 
 const KernelTable& table() {
   static const KernelTable t{
-      znorm,         sq_diff,       residual_sq,
+      sq_diff,       residual_sq,
       window_multiply_complex,      psd_accumulate,
-      safe_divide,   dtw_wave_cost, dtw_wave_cell,
+      safe_divide,   dtw_wave_cost,
       max_abs_diff,  squared_distance,
       weighted_sum_gather,
       scan_json_ws,  scan_json_string,

@@ -1,10 +1,10 @@
 // Scalar reference kernels.  These are the exact loops the call sites ran
-// before the SIMD layer existed (dtw.cpp znorm, kmeans.cpp
-// squared_distance, welch.cpp window/PSD accumulation, crh.cpp
-// max_abs_difference and the CRH weight/truth reductions), moved behind
-// the KernelTable so `SYBILTD_SIMD=scalar` reproduces the pre-SIMD bytes
-// exactly.  This TU is compiled with the project default flags — no
-// vector -m options, no -ffp-contract override — for the same reason.
+// before the SIMD layer existed (kmeans.cpp squared_distance, welch.cpp
+// window/PSD accumulation, crh.cpp max_abs_difference and the CRH
+// weight/truth reductions), moved behind the KernelTable so
+// `SYBILTD_SIMD=scalar` reproduces the pre-SIMD bytes exactly.  This TU
+// is compiled with the project default flags — no vector -m options, no
+// -ffp-contract override — for the same reason.
 
 #include <bit>
 #include <cmath>
@@ -17,13 +17,6 @@
 namespace sybiltd::simd::scalar {
 
 namespace {
-
-void znorm(const double* x, std::size_t n, double mu, double sd,
-           double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = sd > 1e-12 ? (x[i] - mu) / sd : 0.0;
-  }
-}
 
 void sq_diff(const double* a, const double* b, std::size_t n, double* out) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -73,27 +66,6 @@ void dtw_wave_cost(const double* cost, const double* diag,
     if (vert[i] < best) best = vert[i];
     if (horiz[i] < best) best = horiz[i];
     out[i] = cost[i] + best;
-  }
-}
-
-void dtw_wave_cell(const double* cost, const double* diag_c,
-                   const double* diag_l, const double* vert_c,
-                   const double* vert_l, const double* horiz_c,
-                   const double* horiz_l, std::size_t n, double* out_c,
-                   double* out_l) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double bc = diag_c[i];
-    double bl = diag_l[i];
-    if (vert_c[i] < bc || (vert_c[i] == bc && vert_l[i] < bl)) {
-      bc = vert_c[i];
-      bl = vert_l[i];
-    }
-    if (horiz_c[i] < bc || (horiz_c[i] == bc && horiz_l[i] < bl)) {
-      bc = horiz_c[i];
-      bl = horiz_l[i];
-    }
-    out_c[i] = cost[i] + bc;
-    out_l[i] = bl + 1.0;
   }
 }
 
@@ -171,9 +143,9 @@ std::size_t set_join_verify(const std::uint64_t* probe, std::size_t words,
 
 const KernelTable& table() {
   static const KernelTable t{
-      znorm,         sq_diff,       residual_sq,
+      sq_diff,       residual_sq,
       window_multiply_complex,      psd_accumulate,
-      safe_divide,   dtw_wave_cost, dtw_wave_cell,
+      safe_divide,   dtw_wave_cost,
       max_abs_diff,  squared_distance,
       weighted_sum_gather,
       scan_json_ws,  scan_json_string,

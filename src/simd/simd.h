@@ -2,7 +2,7 @@
 //
 // PRs 2–3 made the quadratic kernels parallel and allocation-free; the
 // remaining multiplier is data-level parallelism.  This module provides a
-// small set of fixed-signature kernels (DTW wavefront cells, z-normalize,
+// small set of fixed-signature kernels (DTW wavefront cells,
 // squared-Euclidean distance, Welch window/PSD accumulation, CRH
 // weighted-sum/residual reductions, the AG-TS set-join popcount
 // verify), each implemented once per instruction
@@ -19,9 +19,9 @@
 // Determinism contract (tested by tests/simd_test.cpp and
 // tests/parallel_determinism_test.cpp, documented in docs/PERFORMANCE.md):
 //
-//  - Elementwise kernels (znorm, window multiply, PSD accumulate, residual
-//    squares, safe divide) and min/max-based kernels (the DTW wavefront
-//    recurrences, max_abs_diff) are **bit-identical** to the scalar level:
+//  - Elementwise kernels (squared difference, window multiply, PSD
+//    accumulate, residual squares, safe divide) and min/max-based kernels
+//    (the DTW wavefront recurrence, max_abs_diff) are **bit-identical** to the scalar level:
 //    every per-element operation is the same IEEE operation in the same
 //    order, and min/max are exact.
 //  - Sum reductions (squared_distance, weighted_sum_gather) accumulate
@@ -66,9 +66,6 @@ enum class Level : int {
 struct KernelTable {
   // --- Elementwise: bit-identical to scalar at every level ---------------
 
-  // out[i] = sd > 1e-12 ? (x[i] - mu) / sd : 0.0
-  void (*znorm)(const double* x, std::size_t n, double mu, double sd,
-                double* out);
   // out[i] = (a[i] - b[i])^2
   void (*sq_diff)(const double* a, const double* b, std::size_t n,
                   double* out);
@@ -93,15 +90,6 @@ struct KernelTable {
   void (*dtw_wave_cost)(const double* cost, const double* diag,
                         const double* vert, const double* horiz,
                         std::size_t n, double* out);
-  // (cost, path-length) cells with the scalar tie-break (smaller length
-  // wins on equal cost); lengths are integer-valued doubles.
-  //   best = (diag_c, diag_l); consider(vert); consider(horiz)
-  //   out_c[i] = cost[i] + best_c; out_l[i] = best_l + 1
-  void (*dtw_wave_cell)(const double* cost, const double* diag_c,
-                        const double* diag_l, const double* vert_c,
-                        const double* vert_l, const double* horiz_c,
-                        const double* horiz_l, std::size_t n, double* out_c,
-                        double* out_l);
 
   // --- Exact reductions: bit-identical (max has no rounding) -------------
 

@@ -60,11 +60,7 @@ struct F64x4 {
   static F64x4 gt(F64x4 a, F64x4 b) {
     return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)};
   }
-  static F64x4 eq(F64x4 a, F64x4 b) {
-    return {_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)};
-  }
   static F64x4 and_(F64x4 a, F64x4 b) { return {_mm256_and_pd(a.v, b.v)}; }
-  static F64x4 or_(F64x4 a, F64x4 b) { return {_mm256_or_pd(a.v, b.v)}; }
   // a where mask lane is all-ones, else b.
   static F64x4 select(F64x4 mask, F64x4 a, F64x4 b) {
     return {_mm256_blendv_pd(b.v, a.v, mask.v)};
@@ -142,14 +138,8 @@ struct F64x4 {
   static F64x4 gt(F64x4 a, F64x4 b) {
     return {_mm_cmpgt_pd(a.lo, b.lo), _mm_cmpgt_pd(a.hi, b.hi)};
   }
-  static F64x4 eq(F64x4 a, F64x4 b) {
-    return {_mm_cmpeq_pd(a.lo, b.lo), _mm_cmpeq_pd(a.hi, b.hi)};
-  }
   static F64x4 and_(F64x4 a, F64x4 b) {
     return {_mm_and_pd(a.lo, b.lo), _mm_and_pd(a.hi, b.hi)};
-  }
-  static F64x4 or_(F64x4 a, F64x4 b) {
-    return {_mm_or_pd(a.lo, b.lo), _mm_or_pd(a.hi, b.hi)};
   }
   static F64x4 select(F64x4 mask, F64x4 a, F64x4 b) {
     return {_mm_or_pd(_mm_and_pd(mask.lo, a.lo),
@@ -228,19 +218,10 @@ struct F64x4 {
   static F64x4 gt(F64x4 a, F64x4 b) {
     return from_mask(vcgtq_f64(a.lo, b.lo), vcgtq_f64(a.hi, b.hi));
   }
-  static F64x4 eq(F64x4 a, F64x4 b) {
-    return from_mask(vceqq_f64(a.lo, b.lo), vceqq_f64(a.hi, b.hi));
-  }
   static F64x4 and_(F64x4 a, F64x4 b) {
     return from_mask(vandq_u64(vreinterpretq_u64_f64(a.lo),
                                vreinterpretq_u64_f64(b.lo)),
                      vandq_u64(vreinterpretq_u64_f64(a.hi),
-                               vreinterpretq_u64_f64(b.hi)));
-  }
-  static F64x4 or_(F64x4 a, F64x4 b) {
-    return from_mask(vorrq_u64(vreinterpretq_u64_f64(a.lo),
-                               vreinterpretq_u64_f64(b.lo)),
-                     vorrq_u64(vreinterpretq_u64_f64(a.hi),
                                vreinterpretq_u64_f64(b.hi)));
   }
   static F64x4 select(F64x4 mask, F64x4 a, F64x4 b) {

@@ -3,7 +3,7 @@
 // the incremental component tracker and the streaming regroup — in
 // particular the recall properties the docs promise, checked against the
 // all-pairs oracles in grouping_oracles.h: AgTr::group is bit-identical to
-// the Eq. (8) edge fold, and AgTs and the shard's regroup reproduce the
+// the Eq. (8) all-pairs union-find, and AgTs and the shard's regroup reproduce the
 // dense Eq. (6) partition.
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "candidate/task_set_index.h"
 #include "core/ag_tr.h"
 #include "core/ag_ts.h"
-#include "core/ag_auto.h"
 #include "dtw/dtw.h"
 #include "eval/adapters.h"
 #include "graph/incremental.h"
@@ -62,7 +61,7 @@ TEST(EndpointGrid, DroppedPairsAreProvablyBeyondPhi) {
   const auto pairs = candidate::endpoint_grid_candidates(fps, phi, &stats);
   EXPECT_EQ(stats.candidates, pairs.size());
   EXPECT_GT(stats.occupied_cells, 0u);
-  // Sorted and unique — the order contract the edge fold depends on.
+  // Sorted and unique — the deterministic order the documentation promises.
   for (std::size_t k = 1; k < pairs.size(); ++k) {
     EXPECT_LT(pairs[k - 1], pairs[k]);
   }
@@ -145,8 +144,8 @@ TEST(AgTrCandidates, GroupingBitIdenticalToExactAllPairs) {
     const auto exact = oracle::agtr_all_pairs(input);
     const auto cand = core::AgTr().group_with_stats(input, &stats);
     // Bit-identical, not merely equivalent: same groups, same member
-    // order, same labels (the candidate edge fold replays the all-pairs
-    // insertion order).
+    // order, same labels (components are read off a union-find, so they
+    // do not depend on the order the edges arrive in).
     EXPECT_EQ(exact.labels(), cand.labels()) << "seed " << seed;
     EXPECT_EQ(exact.groups(), cand.groups()) << "seed " << seed;
     EXPECT_EQ(stats.blocked + stats.candidates, stats.pairs);

@@ -2,6 +2,7 @@
 // paper's Fig. 4 worked example.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -24,7 +25,7 @@ TEST(Dtw, IdenticalSeriesHaveZeroDistance) {
 TEST(Dtw, RejectsEmptySeries) {
   const std::vector<double> a{1.0};
   EXPECT_THROW(dtw_full({}, a), std::invalid_argument);
-  EXPECT_THROW(dtw_distance(a, {}), std::invalid_argument);
+  EXPECT_THROW(dtw_total_cost(a, {}), std::invalid_argument);
 }
 
 TEST(Dtw, SingletonSeries) {
@@ -59,7 +60,7 @@ TEST(Dtw, SymmetricInArguments) {
     for (auto& v : a) v = rng.uniform(-5, 5);
     for (auto& v : b) v = rng.uniform(-5, 5);
     EXPECT_NEAR(dtw_full(a, b).total_cost, dtw_full(b, a).total_cost, 1e-9);
-    EXPECT_NEAR(dtw_distance(a, b), dtw_distance(b, a), 1e-9);
+    EXPECT_NEAR(dtw_total_cost(a, b), dtw_total_cost(b, a), 1e-9);
   }
 }
 
@@ -91,15 +92,14 @@ TEST(Dtw, PathIsValidWarpingPath) {
   EXPECT_NEAR(cost, r.total_cost, 1e-9);
 }
 
-TEST(Dtw, DistanceOnlyMatchesFullDp) {
+TEST(Dtw, CostOnlyMatchesFullDp) {
   Rng rng(3);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<double> a(2 + rng.uniform_index(10));
     std::vector<double> b(2 + rng.uniform_index(10));
     for (auto& v : a) v = rng.uniform(-2, 2);
     for (auto& v : b) v = rng.uniform(-2, 2);
-    const auto full = dtw_full(a, b);
-    EXPECT_NEAR(dtw_distance(a, b), full.distance, 1e-9);
+    EXPECT_EQ(dtw_total_cost(a, b), dtw_full(a, b).total_cost);
   }
 }
 
@@ -161,36 +161,15 @@ TEST(Dtw, BandWidensForUnequalLengths) {
   EXPECT_NEAR(dtw_full(a, b, opt).total_cost, 0.0, 1e-12);
 }
 
-TEST(Dtw, ZnormRemovesOffsetAndScale) {
-  std::vector<double> a(40), b(40);
-  for (std::size_t t = 0; t < 40; ++t) {
-    a[t] = std::sin(0.3 * static_cast<double>(t));
-    b[t] = 5.0 + 3.0 * a[t];  // affine copy
-  }
-  EXPECT_GT(dtw_distance(a, b), 1.0);
-  EXPECT_NEAR(dtw_distance_znorm(a, b), 0.0, 1e-9);
-}
-
-TEST(Dtw, ZnormConstantSeriesIsZeroVector) {
-  const std::vector<double> a{2, 2, 2};
-  const std::vector<double> b{7, 7, 7};
-  EXPECT_NEAR(dtw_distance_znorm(a, b), 0.0, 1e-12);
-}
-
 // --- Banded vs dense-reference equivalence ---------------------------------
-// The production kernels store only the band (dtw_full) or two rolling rows
-// with band-edge infinity clears (dtw_distance).  This reference builds the
-// obviously-correct dense m*n matrix, infinity-filled up front, with the
-// same Sakoe–Chiba band and the same (cost, path-length) tie-breaking —
-// any stale-cell bug in the banded storage shows up as a mismatch here.
+// The production kernels store only the band (dtw_full), or two rolling
+// rows / three wavefront diagonals with band-edge infinity clears
+// (dtw_total_cost).  This reference builds the obviously-correct dense m*n
+// matrix, infinity-filled up front, with the same Sakoe–Chiba band — any
+// stale-cell bug in the banded storage shows up as a mismatch here.
 
-struct RefCell {
-  double cost;
-  std::size_t len;
-};
-
-RefCell dense_banded_reference(std::span<const double> a,
-                               std::span<const double> b, std::size_t band) {
+double dense_banded_reference(std::span<const double> a,
+                              std::span<const double> b, std::size_t band) {
   const std::size_t m = a.size();
   const std::size_t n = b.size();
   std::size_t w = band == 0 ? std::max(m, n) : band;
@@ -198,27 +177,21 @@ RefCell dense_banded_reference(std::span<const double> a,
   w = std::max(w, diff);  // same widening as the implementation
 
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<RefCell> dp(m * n, {inf, 0});
+  std::vector<double> dp(m * n, inf);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       const std::size_t gap = i > j ? i - j : j - i;
       if (gap > w) continue;
       const double cost = (a[i] - b[j]) * (a[i] - b[j]);
-      RefCell best{inf, 0};
-      auto consider = [&](const RefCell& c) {
-        if (c.cost < best.cost ||
-            (c.cost == best.cost && c.len < best.len)) {
-          best = c;
-        }
-      };
+      double best = inf;
       if (i == 0 && j == 0) {
-        best = {0.0, 0};
+        best = 0.0;
       } else {
-        if (i > 0 && j > 0) consider(dp[(i - 1) * n + (j - 1)]);
-        if (i > 0) consider(dp[(i - 1) * n + j]);
-        if (j > 0) consider(dp[i * n + (j - 1)]);
+        if (i > 0 && j > 0) best = std::min(best, dp[(i - 1) * n + (j - 1)]);
+        if (i > 0) best = std::min(best, dp[(i - 1) * n + j]);
+        if (j > 0) best = std::min(best, dp[i * n + (j - 1)]);
       }
-      dp[i * n + j] = {cost + best.cost, best.len + 1};
+      dp[i * n + j] = cost + best;
     }
   }
   return dp[m * n - 1];
@@ -234,11 +207,9 @@ TEST(DtwBandedEquivalence, DistanceMatchesDenseReference) {
     for (const std::size_t band : {0ul, 1ul, 2ul, 4ul, 8ul}) {
       DtwOptions opt;
       opt.band = band;
-      const RefCell ref = dense_banded_reference(a, b, band);
-      ASSERT_TRUE(std::isfinite(ref.cost));
-      const double expected =
-          std::sqrt(ref.cost / static_cast<double>(ref.len));
-      EXPECT_EQ(dtw_distance(a, b, opt), expected)
+      const double ref = dense_banded_reference(a, b, band);
+      ASSERT_TRUE(std::isfinite(ref));
+      EXPECT_EQ(dtw_total_cost(a, b, opt), ref)
           << "m=" << a.size() << " n=" << b.size() << " band=" << band
           << " trial=" << trial;
     }
@@ -255,9 +226,9 @@ TEST(DtwBandedEquivalence, FullMatchesDenseReference) {
     for (const std::size_t band : {0ul, 1ul, 3ul, 6ul}) {
       DtwOptions opt;
       opt.band = band;
-      const RefCell ref = dense_banded_reference(a, b, band);
+      const double ref = dense_banded_reference(a, b, band);
       const auto r = dtw_full(a, b, opt);
-      EXPECT_EQ(r.total_cost, ref.cost)
+      EXPECT_EQ(r.total_cost, ref)
           << "m=" << a.size() << " n=" << b.size() << " band=" << band;
       // The recovered path must realize the optimal cost inside the band.
       double path_cost = 0.0;
@@ -277,7 +248,7 @@ TEST(DtwBandedEquivalence, FullMatchesDenseReference) {
 }
 
 TEST(DtwBandedEquivalence, RepeatedCallsDoNotLeakStaleCells) {
-  // Stale rolling-row state from a previous (larger or differently-banded)
+  // Stale rolling-row / wavefront state from a previous (larger or differently-banded)
   // call must not bleed into later results: interleave shapes and compare
   // every call against a fresh reference.
   Rng rng(42);
@@ -294,15 +265,10 @@ TEST(DtwBandedEquivalence, RepeatedCallsDoNotLeakStaleCells) {
   wide.band = 30;
   for (int round = 0; round < 5; ++round) {
     for (const auto* opt : {&narrow, &wide}) {
-      const RefCell ref_big =
-          dense_banded_reference(big_a, big_b, opt->band);
-      EXPECT_EQ(dtw_distance(big_a, big_b, *opt),
-                std::sqrt(ref_big.cost / static_cast<double>(ref_big.len)));
-      const RefCell ref_small =
-          dense_banded_reference(small_a, small_b, opt->band);
-      EXPECT_EQ(
-          dtw_distance(small_a, small_b, *opt),
-          std::sqrt(ref_small.cost / static_cast<double>(ref_small.len)));
+      EXPECT_EQ(dtw_total_cost(big_a, big_b, *opt),
+                dense_banded_reference(big_a, big_b, opt->band));
+      EXPECT_EQ(dtw_total_cost(small_a, small_b, *opt),
+                dense_banded_reference(small_a, small_b, opt->band));
     }
   }
 }

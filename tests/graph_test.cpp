@@ -1,76 +1,42 @@
-// Unit and property tests for src/graph: undirected graph, connected
-// components via DFS, union-find, and the threshold-graph builder.
+// Unit and property tests for src/graph: union-find, checked against a
+// test-local graph search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <cstddef>
+#include <vector>
 
 #include "common/rng.h"
-#include "graph/graph.h"
 #include "graph/union_find.h"
 
 namespace sybiltd::graph {
 namespace {
 
-TEST(Graph, EmptyGraphHasNoComponents) {
-  UndirectedGraph g(0);
-  EXPECT_TRUE(g.connected_components().empty());
-}
-
-TEST(Graph, IsolatedNodesAreSingletons) {
-  UndirectedGraph g(4);
-  const auto components = g.connected_components();
-  EXPECT_EQ(components.size(), 4u);
-  for (const auto& c : components) EXPECT_EQ(c.size(), 1u);
-}
-
-TEST(Graph, EdgesMergeComponents) {
-  UndirectedGraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  const auto components = g.connected_components();
-  EXPECT_EQ(components.size(), 2u);
-  const auto labels = g.component_labels();
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[1], labels[2]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_NE(labels[0], labels[3]);
-}
-
-TEST(Graph, DegreeAndHasEdge) {
-  UndirectedGraph g(3);
-  g.add_edge(0, 1, 2.5);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 0));
-  EXPECT_FALSE(g.has_edge(0, 2));
-  EXPECT_EQ(g.degree(0), 1u);
-  EXPECT_EQ(g.degree(2), 0u);
-  EXPECT_EQ(g.edges().front().weight, 2.5);
-}
-
-TEST(Graph, RejectsInvalidEdges) {
-  UndirectedGraph g(3);
-  EXPECT_THROW(g.add_edge(0, 3), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(1, 1), std::invalid_argument);
-}
-
-TEST(Graph, ComponentsCoverAllNodesExactlyOnce) {
-  Rng rng(1);
-  UndirectedGraph g(30);
-  for (int e = 0; e < 25; ++e) {
-    const auto u = rng.uniform_index(30);
-    const auto v = rng.uniform_index(30);
-    if (u != v) g.add_edge(u, v);
-  }
-  const auto components = g.connected_components();
-  std::set<std::size_t> seen;
-  for (const auto& c : components) {
-    for (std::size_t node : c) {
-      EXPECT_TRUE(seen.insert(node).second) << "node in two components";
+// Independent components oracle: iterative DFS over an adjacency list,
+// components numbered in order of their smallest node.
+std::vector<std::size_t> dfs_component_labels(
+    const std::vector<std::vector<std::size_t>>& adjacency) {
+  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> labels(adjacency.size(), kUnseen);
+  std::vector<std::size_t> stack;
+  std::size_t next = 0;
+  for (std::size_t start = 0; start < adjacency.size(); ++start) {
+    if (labels[start] != kUnseen) continue;
+    labels[start] = next;
+    stack.push_back(start);
+    while (!stack.empty()) {
+      const std::size_t u = stack.back();
+      stack.pop_back();
+      for (std::size_t v : adjacency[u]) {
+        if (labels[v] == kUnseen) {
+          labels[v] = next;
+          stack.push_back(v);
+        }
+      }
     }
+    ++next;
   }
-  EXPECT_EQ(seen.size(), 30u);
+  return labels;
 }
 
 TEST(UnionFind, BasicMerging) {
@@ -91,64 +57,42 @@ TEST(UnionFind, LabelsAreCanonical) {
   EXPECT_EQ(labels[2], labels[3]);
   EXPECT_NE(labels[0], labels[2]);
   EXPECT_THROW(uf.find(4), std::invalid_argument);
+  // Numbered by first occurrence, whichever element is the set's root.
+  UnionFind rooted_late(5);
+  rooted_late.unite(4, 3);
+  rooted_late.unite(3, 1);
+  EXPECT_EQ(rooted_late.labels(), (std::vector<std::size_t>{0, 1, 2, 1, 1}));
 }
 
 class DfsVsUnionFind : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Property: DFS components and union-find agree on random graphs.
+// Property: union-find and a graph search agree on random graphs, labels
+// included (both number components by first occurrence).
 TEST_P(DfsVsUnionFind, SamePartition) {
   Rng rng(GetParam());
   const std::size_t n = 20 + rng.uniform_index(30);
-  UndirectedGraph g(n);
+  std::vector<std::vector<std::size_t>> adjacency(n);
   UnionFind uf(n);
   const std::size_t edges = rng.uniform_index(2 * n);
   for (std::size_t e = 0; e < edges; ++e) {
     const auto u = rng.uniform_index(n);
     const auto v = rng.uniform_index(n);
     if (u == v) continue;
-    g.add_edge(u, v);
+    adjacency[u].push_back(v);
+    adjacency[v].push_back(u);
     uf.unite(u, v);
   }
-  const auto dfs_labels = g.component_labels();
-  auto uf_labels = uf.labels();
-  // Partitions must be identical up to relabeling: same pair relation.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      EXPECT_EQ(dfs_labels[i] == dfs_labels[j],
-                uf_labels[i] == uf_labels[j])
-          << "pair " << i << "," << j;
-    }
+  const auto search_labels = dfs_component_labels(adjacency);
+  EXPECT_EQ(uf.labels(), search_labels);
+  std::size_t components = 0;
+  for (std::size_t label : search_labels) {
+    components = std::max(components, label + 1);
   }
-  EXPECT_EQ(g.connected_components().size(), uf.set_count());
+  EXPECT_EQ(components, uf.set_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DfsVsUnionFind,
                          ::testing::Values(10, 11, 12, 13, 14, 15, 16, 17));
-
-TEST(ThresholdGraph, KeepsOnlyQualifyingEdges) {
-  const std::vector<std::vector<double>> score{
-      {0.0, 2.0, 0.5},
-      {2.0, 0.0, 1.5},
-      {0.5, 1.5, 0.0},
-  };
-  const auto g = threshold_graph(score, [](double s) { return s > 1.0; });
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 2));
-  EXPECT_FALSE(g.has_edge(0, 2));
-  EXPECT_EQ(g.connected_components().size(), 1u);
-}
-
-TEST(ThresholdGraph, LessThanPredicateForDissimilarity) {
-  const std::vector<std::vector<double>> dis{
-      {0.0, 0.1, 5.0},
-      {0.1, 0.0, 5.0},
-      {5.0, 5.0, 0.0},
-  };
-  const auto g = threshold_graph(dis, [](double d) { return d < 1.0; });
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.has_edge(0, 2));
-  EXPECT_EQ(g.connected_components().size(), 2u);
-}
 
 }  // namespace
 }  // namespace sybiltd::graph

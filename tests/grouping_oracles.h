@@ -15,22 +15,25 @@
 #include "core/ag_ts.h"
 #include "core/data_grouping.h"
 #include "core/grouping.h"
-#include "graph/graph.h"
 #include "graph/union_find.h"
 
 namespace sybiltd::oracle {
 
 // AG-TR: every pair's D(i,j) from the full dissimilarity matrices, the
-// edges with D < phi folded into a graph in (i, j) order, components as
-// groups.  Same labels and the same group member order as AgTr::group.
+// edges with D < phi merged with a union-find, components as groups.
+// Canonical labels (numbered by first account occurrence) and ascending
+// member order, which is what AgTr::group returns.
 inline core::AccountGrouping agtr_all_pairs(const core::FrameworkInput& input,
                                             const core::AgTrOptions& options =
                                                 {}) {
   const auto d = core::AgTr(options).dissimilarity_matrices(input);
-  const graph::UndirectedGraph g = graph::threshold_graph(
-      d.dissimilarity, [&](double v) { return v < options.phi; });
-  return core::AccountGrouping(g.connected_components(),
-                               input.accounts.size());
+  graph::UnionFind uf(d.dissimilarity.size());
+  for (std::size_t i = 0; i < d.dissimilarity.size(); ++i) {
+    for (std::size_t j = i + 1; j < d.dissimilarity.size(); ++j) {
+      if (d.dissimilarity[i][j] < options.phi) uf.unite(i, j);
+    }
+  }
+  return core::AccountGrouping::from_labels(uf.labels());
 }
 
 // AG-TS: the dense affinity matrix thresholded at A > rho, merged with a

@@ -105,12 +105,6 @@ TEST_F(SimdKernelTest, ElementwiseKernelsBitIdentical) {
         std::vector<double> expected(n + 1, 0.0), actual(n + 1, 0.0);
 
         const double mu = rng.uniform(-5.0, 5.0);
-        for (double sd : {2.5, 0.0}) {  // 0.0 exercises the sd <= 1e-12 arm
-          ref_.znorm(x, n, mu, sd, expected.data());
-          table.znorm(x, n, mu, sd, actual.data());
-          expect_bitwise(expected.data(), actual.data(), n, "znorm", level);
-        }
-
         ref_.sq_diff(x, y, n, expected.data());
         table.sq_diff(x, y, n, actual.data());
         expect_bitwise(expected.data(), actual.data(), n, "sq_diff", level);
@@ -172,18 +166,12 @@ TEST_F(SimdKernelTest, DtwWaveKernelsBitIdentical) {
         auto diag_c = random_buffer(rng, n, offset, false);
         auto vert_c = random_buffer(rng, n, offset, false);
         auto horiz_c = random_buffer(rng, n, offset, false);
-        // Mimic real wavefronts: infinity edge cells and exact cost ties
-        // (the tie-break path), plus integer-valued path lengths.
-        std::vector<double> diag_l(n + offset, 0.0), vert_l(n + offset, 0.0),
-            horiz_l(n + offset, 0.0);
+        // Mimic real wavefronts: infinity edge cells and exact cost ties.
         for (std::size_t i = 0; i < n; ++i) {
           if (rng.uniform() < 0.15) diag_c[offset + i] = kInf;
           if (rng.uniform() < 0.15) vert_c[offset + i] = kInf;
           if (rng.uniform() < 0.25) vert_c[offset + i] = diag_c[offset + i];
           if (rng.uniform() < 0.25) horiz_c[offset + i] = vert_c[offset + i];
-          diag_l[i] = static_cast<double>(rng.uniform_index(64));
-          vert_l[i] = static_cast<double>(rng.uniform_index(64));
-          horiz_l[i] = static_cast<double>(rng.uniform_index(64));
         }
 
         std::vector<double> expected(n + 1, 0.0), actual(n + 1, 0.0);
@@ -194,21 +182,6 @@ TEST_F(SimdKernelTest, DtwWaveKernelsBitIdentical) {
                             vert_c.data() + offset, horiz_c.data() + offset,
                             n, actual.data());
         expect_bitwise(expected.data(), actual.data(), n, "dtw_wave_cost",
-                       level);
-
-        std::vector<double> exp_c(n + 1, 0.0), exp_l(n + 1, 0.0);
-        std::vector<double> act_c(n + 1, 0.0), act_l(n + 1, 0.0);
-        ref_.dtw_wave_cell(cost.data() + offset, diag_c.data() + offset,
-                           diag_l.data(), vert_c.data() + offset,
-                           vert_l.data(), horiz_c.data() + offset,
-                           horiz_l.data(), n, exp_c.data(), exp_l.data());
-        table.dtw_wave_cell(cost.data() + offset, diag_c.data() + offset,
-                            diag_l.data(), vert_c.data() + offset,
-                            vert_l.data(), horiz_c.data() + offset,
-                            horiz_l.data(), n, act_c.data(), act_l.data());
-        expect_bitwise(exp_c.data(), act_c.data(), n, "dtw_wave_cell cost",
-                       level);
-        expect_bitwise(exp_l.data(), act_l.data(), n, "dtw_wave_cell len",
                        level);
       }
     }
@@ -438,8 +411,8 @@ TEST_F(SimdKernelTest, SetJoinVerifyExactAtEveryLevel) {
 }
 
 // End-to-end: the diagonal-wavefront DTW selected at vector levels must
-// reproduce the serial rolling-row DP bit for bit, and the cost-only DP
-// must match dtw_full's total_cost, at every level and band width.
+// reproduce the serial rolling-row DP bit for bit, and both must match
+// dtw_full's total_cost, at every level and band width.
 TEST(SimdDtwDispatch, WavefrontMatchesScalarRowsBitwise) {
   const Level before = simd::active_level();
   Rng rng(314159);
@@ -453,7 +426,7 @@ TEST(SimdDtwDispatch, WavefrontMatchesScalarRowsBitwise) {
     std::vector<double> a(m), b(n);
     for (double& v : a) v = rng.uniform(-10.0, 10.0);
     for (double& v : b) v = rng.uniform(-10.0, 10.0);
-    // Integer-valued series hit exact cost ties, the tie-break path.
+    // Integer-valued series hit exact cost ties between predecessors.
     std::vector<double> ai(m), bi(n);
     for (double& v : ai) v = static_cast<double>(rng.uniform_index(4));
     for (double& v : bi) v = static_cast<double>(rng.uniform_index(4));
@@ -461,22 +434,21 @@ TEST(SimdDtwDispatch, WavefrontMatchesScalarRowsBitwise) {
                              std::size_t{8}}) {
       const dtw::DtwOptions options{band};
       simd::set_active_level(Level::kScalar);
-      const double d_scalar = dtw::dtw_distance(a, b, options);
-      const double di_scalar = dtw::dtw_distance(ai, bi, options);
       const double c_scalar = dtw::dtw_total_cost(a, b, options);
-      const double full_cost = dtw::dtw_full(a, b, options).total_cost;
-      ASSERT_TRUE(bits_equal(c_scalar, full_cost));
+      const double ci_scalar = dtw::dtw_total_cost(ai, bi, options);
+      ASSERT_TRUE(
+          bits_equal(c_scalar, dtw::dtw_full(a, b, options).total_cost));
+      ASSERT_TRUE(
+          bits_equal(ci_scalar, dtw::dtw_full(ai, bi, options).total_cost));
       for (Level level : simd::available_levels()) {
         simd::set_active_level(level);
-        EXPECT_TRUE(bits_equal(d_scalar, dtw::dtw_distance(a, b, options)))
-            << simd::level_name(level) << " m=" << m << " n=" << n
-            << " band=" << band;
-        EXPECT_TRUE(bits_equal(di_scalar,
-                               dtw::dtw_distance(ai, bi, options)))
-            << simd::level_name(level) << " (integer series)";
         EXPECT_TRUE(bits_equal(c_scalar,
                                dtw::dtw_total_cost(a, b, options)))
-            << simd::level_name(level);
+            << simd::level_name(level) << " m=" << m << " n=" << n
+            << " band=" << band;
+        EXPECT_TRUE(bits_equal(ci_scalar,
+                               dtw::dtw_total_cost(ai, bi, options)))
+            << simd::level_name(level) << " (integer series)";
       }
     }
   }

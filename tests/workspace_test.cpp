@@ -24,7 +24,6 @@
 #include "dtw/dtw.h"
 #include "signal/fft.h"
 #include "signal/welch.h"
-#include "truth/online_crh.h"
 
 // --- Counting allocation probe ---------------------------------------------
 // Replacement global operator new/delete forwarding to malloc/free with an
@@ -175,26 +174,24 @@ TEST(WorkspaceTest, PoolTasksReuseTheWorkerArena) {
 
 // --- Zero allocations after warm-up ----------------------------------------
 
-TEST(ZeroAllocation, DtwDistanceAfterWarmUp) {
+TEST(ZeroAllocation, DtwTotalCostAfterWarmUp) {
   const auto a = random_series(128, 1);
   const auto b = random_series(128, 2);
   dtw::DtwOptions banded;
   banded.band = 16;
 
-  // Warm-up: one call per shape pools the row buffers.
-  dtw::dtw_distance(a, b);
-  dtw::dtw_distance(a, b, banded);
-  dtw::dtw_distance_znorm(a, b);
+  // Warm-up: one call per shape pools the wavefront / row buffers.
+  dtw::dtw_total_cost(a, b);
+  dtw::dtw_total_cost(a, b, banded);
 
   double sink = 0.0;
   const auto allocs = count_allocations([&] {
     for (int i = 0; i < 5; ++i) {
-      sink += dtw::dtw_distance(a, b);
-      sink += dtw::dtw_distance(a, b, banded);
-      sink += dtw::dtw_distance_znorm(a, b);
+      sink += dtw::dtw_total_cost(a, b);
+      sink += dtw::dtw_total_cost(a, b, banded);
     }
   });
-  EXPECT_EQ(allocs, 0u) << "dtw_distance allocated in steady state";
+  EXPECT_EQ(allocs, 0u) << "dtw_total_cost allocated in steady state";
   EXPECT_TRUE(std::isfinite(sink));
 }
 
@@ -211,23 +208,6 @@ TEST(ZeroAllocation, WelchPsdIntoAfterWarmUp) {
   EXPECT_EQ(allocs, 0u) << "welch_psd_into allocated in steady state";
   EXPECT_EQ(out.segment_length, 128u);
   EXPECT_GE(out.segments_averaged, 1u);
-}
-
-TEST(ZeroAllocation, OnlineCrhRefineAfterWarmUp) {
-  truth::OnlineCrhOptions options;
-  options.decay = 0.97;
-  truth::OnlineCrh online(6, 4, options);
-  Rng rng(4);
-  for (int i = 0; i < 300; ++i) {
-    online.observe(rng.uniform_index(6), rng.uniform_index(4),
-                   rng.uniform(-5.0, 5.0));
-  }
-  online.refine(1);  // warm the workspace buffers
-
-  const auto allocs = count_allocations([&] {
-    for (int i = 0; i < 5; ++i) online.refine(1);
-  });
-  EXPECT_EQ(allocs, 0u) << "OnlineCrh::refine allocated in steady state";
 }
 
 TEST(ZeroAllocation, FrameworkIterateOnceAfterWarmUp) {
