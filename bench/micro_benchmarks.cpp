@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "candidate/blocking.h"
+#include "candidate/features.h"
 #include "candidate/setjoin.h"
 #include "candidate/task_set_index.h"
 #include "common/rng.h"
@@ -427,6 +429,37 @@ void BM_TaskSetIndexNeighbors(benchmark::State& state) {
   attach_simd_level(state);
 }
 BENCHMARK(BM_TaskSetIndexNeighbors)->Arg(2000);
+
+// AG-TR blocking (Eq. 8's endpoint grid) alone on the same Sybil-shaped
+// campaign shape (bench/grouping_scenario.h), phi = 1: sort the accounts
+// into the cell table, walk each cell's 3^4 box and emit the pairs whose
+// endpoint bound is below phi.  `allocs_per_op` is the heap allocations
+// per call once the workspace pool is warm; the CI perf-smoke job holds it
+// under a constant that does not depend on size (one vector per occupied
+// cell would be thousands).
+void BM_EndpointGrid(benchmark::State& state) {
+  const auto scenario = bench::make_grouping_input(
+      static_cast<std::size_t>(state.range(0)), 16);
+  const auto fps = candidate::fingerprints_of(
+      core::AgTr::series_table(scenario.input));
+  candidate::BlockingStats stats;
+  benchmark::DoNotOptimize(
+      candidate::endpoint_grid_candidates(fps, 1.0, &stats));  // warm pool
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  for (auto _ : state) {
+    const auto pairs = candidate::endpoint_grid_candidates(fps, 1.0, &stats);
+    benchmark::DoNotOptimize(pairs.data());
+  }
+  g_alloc_tracking.store(false, std::memory_order_relaxed);
+  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+  state.counters["box_pairs"] = static_cast<double>(stats.box_pairs);
+  state.counters["emitted"] = static_cast<double>(stats.candidates);
+}
+BENCHMARK(BM_EndpointGrid)
+    ->Arg(2000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_AgTr(benchmark::State& state) {
   const auto input = eval::to_framework_input(shared_scenario());

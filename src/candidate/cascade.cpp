@@ -30,23 +30,28 @@ void CascadeStats::count(CascadeOutcome outcome) {
 
 CascadeOutcome LbCascade::evaluate(std::size_t i, std::size_t j,
                                    double* dissimilarity) const {
-  const std::vector<double>& xi = xs_[i];
-  const std::vector<double>& xj = xs_[j];
-  const std::vector<double>& yi = ys_[i];
-  const std::vector<double>& yj = ys_[j];
-  if (xi.empty() || xj.empty()) return CascadeOutcome::kEmptySeries;
+  const TrajectoryFingerprint& fi = fps_[i];
+  const TrajectoryFingerprint& fj = fps_[j];
+  if (fi.empty() || fj.empty()) return CascadeOutcome::kEmptySeries;
   const double phi = options_.phi;
 
   // Stage 1: endpoint bounds, O(1).
-  double bx = dtw::endpoint_lower_bound(xi, xj);
-  double by = dtw::endpoint_lower_bound(yi, yj);
+  const EndpointBound endpoint =
+      endpoint_bound(fi.endpoints(), fj.endpoints());
+  double bx = endpoint.task;
+  double by = endpoint.time;
   if (bx + by >= phi) return CascadeOutcome::kEndpointPruned;
 
+  const std::span<const double> xi = series_.task_of(i);
+  const std::span<const double> xj = series_.task_of(j);
+  const std::span<const double> yi = series_.time_of(i);
+  const std::span<const double> yj = series_.time_of(j);
+
   // Stage 2: whole-series envelope bounds, O(len) per direction.
-  bx = std::max(bx, envelope_bound(xi, fps_[j].task));
-  bx = std::max(bx, envelope_bound(xj, fps_[i].task));
-  by = std::max(by, envelope_bound(yi, fps_[j].time));
-  by = std::max(by, envelope_bound(yj, fps_[i].time));
+  bx = std::max(bx, envelope_bound(xi, fj.task));
+  bx = std::max(bx, envelope_bound(xj, fi.task));
+  by = std::max(by, envelope_bound(yi, fj.time));
+  by = std::max(by, envelope_bound(yj, fi.time));
   if (bx + by >= phi) return CascadeOutcome::kEnvelopePruned;
 
   // Stage 3: strict LB_Keogh under the configured band (equal lengths only;

@@ -4,8 +4,11 @@
 //
 // Stages, each a valid lower bound on D(i,j) = DTW(X) + DTW(Y) in
 // accumulated-squared-cost (total-cost) mode:
-//   1. endpoint (LB_Kim flavor)  — O(1): warping aligns first-with-first
-//      and last-with-last, so the endpoint squared distances are a floor.
+//   1. endpoint (LB_Kim flavor)  — O(1), from the fingerprints: warping
+//      aligns first-with-first and last-with-last, so the endpoint squared
+//      distances are a floor.  Blocking (candidate/blocking.h) applies the
+//      same bound before emitting a pair, so on its output this stage
+//      never prunes.
 //   2. envelope (degenerate LB_Keogh) — O(len): each element aligns with
 //      *something* in the other series, so its distance to [lo, hi] counts.
 //      Taken per term as max(endpoint, envelope both directions).
@@ -23,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "candidate/features.h"
 #include "dtw/dtw.h"
@@ -59,18 +61,14 @@ struct CascadeOptions {
   dtw::DtwOptions dtw;  // band forwarded to the exact DP and LB_Keogh
 };
 
-// Stateless evaluator over borrowed per-account series and fingerprints;
+// Stateless evaluator over a borrowed series table and its fingerprints;
 // safe to call concurrently from the thread pool.
 class LbCascade {
  public:
-  LbCascade(std::span<const std::vector<double>> task_series,
-            std::span<const std::vector<double>> time_series,
+  LbCascade(const SeriesTable& series,
             std::span<const TrajectoryFingerprint> fingerprints,
             const CascadeOptions& options)
-      : xs_(task_series),
-        ys_(time_series),
-        fps_(fingerprints),
-        options_(options) {}
+      : series_(series), fps_(fingerprints), options_(options) {}
 
   // Evaluate one pair.  On kExact, *dissimilarity holds the total D(i,j)
   // (which may itself still be >= phi — the caller applies the edge rule);
@@ -79,8 +77,7 @@ class LbCascade {
                           double* dissimilarity) const;
 
  private:
-  std::span<const std::vector<double>> xs_;
-  std::span<const std::vector<double>> ys_;
+  const SeriesTable& series_;
   std::span<const TrajectoryFingerprint> fps_;
   CascadeOptions options_;
 };

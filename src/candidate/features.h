@@ -31,6 +31,42 @@ struct SeriesProfile {
 
 SeriesProfile profile_of(std::span<const double> series);
 
+// An account's point in the 4-d endpoint space the blocking grid cuts into
+// cells, plus the one flag the bound needs: the task and timestamp series
+// of an account always have the same length, so both are singletons or
+// neither is.
+struct EndpointPoint {
+  double task_first = 0.0;
+  double task_last = 0.0;
+  double time_first = 0.0;
+  double time_last = 0.0;
+  bool singleton = false;
+};
+
+// The endpoint bound of each DTW term.  Every warping path aligns first
+// with first and last with last; when both series are singletons that is
+// one alignment, counted once.  Same arithmetic as dtw::endpoint_lower_bound
+// on the series, so blocking and the cascade decide every pair alike.
+struct EndpointBound {
+  double task = 0.0;
+  double time = 0.0;
+  double total() const { return task + time; }
+};
+
+inline EndpointBound endpoint_bound(const EndpointPoint& a,
+                                    const EndpointPoint& b) {
+  const double dtf = a.task_first - b.task_first;
+  const double dyf = a.time_first - b.time_first;
+  EndpointBound bound{dtf * dtf, dyf * dyf};
+  if (!(a.singleton && b.singleton)) {
+    const double dtl = a.task_last - b.task_last;
+    const double dyl = a.time_last - b.time_last;
+    bound.task += dtl * dtl;
+    bound.time += dyl * dyl;
+  }
+  return bound;
+}
+
 // One fingerprint per account: profiles of the task-index series and the
 // timestamp series.  An account with no reports has empty profiles and is
 // never a candidate (its DTW dissimilarity is +inf to everything).
@@ -39,7 +75,33 @@ struct TrajectoryFingerprint {
   SeriesProfile time;
 
   bool empty() const { return task.length == 0; }
+  EndpointPoint endpoints() const {
+    return {task.first, task.last, time.first, time.last, task.length == 1};
+  }
 };
+
+// Both AG-TR series of every account in one CSR table: account i's task
+// series is task[offset[i], offset[i + 1]) and its timestamp series is the
+// same range of `time`.
+struct SeriesTable {
+  std::vector<std::size_t> offset{0};
+  std::vector<double> task;
+  std::vector<double> time;
+
+  std::size_t accounts() const { return offset.size() - 1; }
+  std::span<const double> task_of(std::size_t i) const {
+    return {task.data() + offset[i], offset[i + 1] - offset[i]};
+  }
+  std::span<const double> time_of(std::size_t i) const {
+    return {time.data() + offset[i], offset[i + 1] - offset[i]};
+  }
+  // Append one account; the two series must have the same length.
+  void append(std::span<const double> task_series,
+              std::span<const double> time_series);
+};
+
+// Fingerprints of every account of the table, in account order.
+std::vector<TrajectoryFingerprint> fingerprints_of(const SeriesTable& series);
 
 // Squared distance of each element of `query` to the [lo, hi] envelope of
 // the other series — the degenerate whole-series LB_Keogh.

@@ -26,14 +26,14 @@ struct AgTrMetrics {
   obs::Counter& pairs = obs::MetricsRegistry::global().counter(
       "agtr.pairs", "unordered account pairs considered by AG-TR");
   obs::Counter& blocked = obs::MetricsRegistry::global().counter(
-      "agtr.blocked", "pairs excluded by endpoint-grid blocking");
+      "agtr.blocked", "pairs outside the endpoint grid's neighbor box");
   obs::Counter& candidates = obs::MetricsRegistry::global().counter(
-      "agtr.candidates", "pairs that reached the lower-bound cascade");
+      "agtr.candidates", "pairs in the endpoint grid's neighbor box");
   obs::Counter& lb_pruned = obs::MetricsRegistry::global().counter(
       "agtr.lb_pruned", "pairs discarded by the DTW lower bound");
   obs::Counter& endpoint_pruned = obs::MetricsRegistry::global().counter(
       "agtr.cascade.endpoint_pruned",
-      "cascade prunes at the O(1) endpoint stage");
+      "box pairs dropped by the endpoint bound inside blocking");
   obs::Counter& envelope_pruned = obs::MetricsRegistry::global().counter(
       "agtr.cascade.envelope_pruned",
       "cascade prunes at the whole-series envelope stage");
@@ -71,8 +71,25 @@ std::vector<double> AgTr::timestamp_series(const AccountTrace& account) {
   return series;
 }
 
-double AgTr::dtw_value(const std::vector<double>& a,
-                       const std::vector<double>& b) const {
+candidate::SeriesTable AgTr::series_table(const FrameworkInput& input) {
+  candidate::SeriesTable table;
+  std::size_t total = 0;
+  for (const auto& account : input.accounts) total += account.reports.size();
+  table.offset.reserve(input.accounts.size() + 1);
+  table.task.reserve(total);
+  table.time.reserve(total);
+  for (const auto& account : input.accounts) {
+    for (const auto& report : account.reports) {
+      table.task.push_back(static_cast<double>(report.task + 1));
+      table.time.push_back(report.timestamp_hours);
+    }
+    table.offset.push_back(table.task.size());
+  }
+  return table;
+}
+
+double AgTr::dtw_value(std::span<const double> a,
+                       std::span<const double> b) const {
   if (a.empty() || b.empty()) {
     // An account with no reports has no trajectory; treat it as maximally
     // dissimilar so it always lands in its own group.
@@ -95,16 +112,12 @@ AgTr::Matrices AgTr::dissimilarity_matrices(
   m.time_dtw.assign(n, std::vector<double>(n, 0.0));
   m.dissimilarity.assign(n, std::vector<double>(n, 0.0));
 
-  std::vector<std::vector<double>> xs(n), ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = task_series(input.accounts[i]);
-    ys[i] = timestamp_series(input.accounts[i]);
-  }
+  const candidate::SeriesTable series = series_table(input);
   // One DTW evaluation per unordered pair fills both triangles; each pair
   // task owns its four mirror cells, so the parallel writes are disjoint.
   parallel_pairwise(n, [&](std::size_t i, std::size_t j) {
-    const double dx = dtw_value(xs[i], xs[j]);
-    const double dy = dtw_value(ys[i], ys[j]);
+    const double dx = dtw_value(series.task_of(i), series.task_of(j));
+    const double dy = dtw_value(series.time_of(i), series.time_of(j));
     m.task_dtw[i][j] = m.task_dtw[j][i] = dx;
     m.time_dtw[i][j] = m.time_dtw[j][i] = dy;
     m.dissimilarity[i][j] = m.dissimilarity[j][i] = dx + dy;
@@ -128,31 +141,31 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
     return AccountGrouping::singletons(0);
   }
 
-  std::vector<std::vector<double>> xs(n), ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = task_series(input.accounts[i]);
-    ys[i] = timestamp_series(input.accounts[i]);
-  }
+  const candidate::SeriesTable series = series_table(input);
   // The lower bounds hold for the accumulated squared cost only; Eq. (7)'s
   // path-length normalization breaks them, so that mode visits every pair.
   const bool bounded = options_.mode == DtwMode::kTotalCost;
-  std::vector<candidate::TrajectoryFingerprint> fps(bounded ? n : 0);
-  for (std::size_t i = 0; i < fps.size(); ++i) {
-    fps[i].task = candidate::profile_of(xs[i]);
-    fps[i].time = candidate::profile_of(ys[i]);
-  }
+  const std::vector<candidate::TrajectoryFingerprint> fps =
+      bounded ? candidate::fingerprints_of(series)
+              : std::vector<candidate::TrajectoryFingerprint>{};
   const candidate::LbCascade cascade(
-      xs, ys, fps, candidate::CascadeOptions{.phi = phi, .dtw = options_.dtw});
+      series, fps,
+      candidate::CascadeOptions{.phi = phi, .dtw = options_.dtw});
 
   AgTrStats local;
   local.pairs = ThreadPool::pair_count(n);
   // Candidate pairs in lexicographic (i, j) order; the serial union-find
   // pass below reads the components off the edges, so the grouping is the
-  // same at every thread count.  Blocking emits only the pairs that could
-  // have D < phi.
+  // same at every thread count.  Blocking visits only the pairs that could
+  // have D < phi and emits those the endpoint bound does not already rule
+  // out; the pairs it drops count as endpoint prunes.
   std::vector<std::uint64_t> pairs;
+  std::size_t endpoint_dropped = 0;
   if (bounded) {
-    pairs = candidate::endpoint_grid_candidates(fps, phi);
+    candidate::BlockingStats blocking;
+    pairs = candidate::endpoint_grid_candidates(fps, phi, &blocking);
+    local.candidates = blocking.box_pairs;
+    endpoint_dropped = blocking.box_pairs - blocking.candidates;
   } else {
     pairs.reserve(local.pairs);
     for (std::size_t i = 0; i < n; ++i) {
@@ -160,9 +173,9 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
         pairs.push_back(candidate::pack_pair(i, j));
       }
     }
+    local.candidates = pairs.size();
   }
-  local.candidates = pairs.size();
-  local.blocked = local.pairs - pairs.size();
+  local.blocked = local.pairs - local.candidates;
 
   using candidate::CascadeOutcome;
   std::vector<double> dissim(pairs.size(), kInf);
@@ -170,15 +183,17 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
   parallel_for(pairs.size(), [&](std::size_t k) {
     const std::size_t i = candidate::pair_first(pairs[k]);
     const std::size_t j = candidate::pair_second(pairs[k]);
+    const std::span<const double> xi = series.task_of(i);
+    const std::span<const double> xj = series.task_of(j);
     CascadeOutcome result;
     if (bounded) {
       result = cascade.evaluate(i, j, &dissim[k]);
-    } else if (xs[i].empty() || xs[j].empty()) {
+    } else if (xi.empty() || xj.empty()) {
       result = CascadeOutcome::kEmptySeries;
-    } else if (const double task_d = dtw_value(xs[i], xs[j]); task_d >= phi) {
+    } else if (const double task_d = dtw_value(xi, xj); task_d >= phi) {
       result = CascadeOutcome::kTaskAbandoned;  // the time term only adds
     } else {
-      dissim[k] = task_d + dtw_value(ys[i], ys[j]);
+      dissim[k] = task_d + dtw_value(series.time_of(i), series.time_of(j));
       result = CascadeOutcome::kExact;
     }
     outcome[k] = static_cast<std::uint8_t>(result);
@@ -193,8 +208,8 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
     }
   }
 
-  local.lb_pruned = cascade_stats.lb_pruned();
-  local.endpoint_pruned = cascade_stats.endpoint_pruned;
+  local.lb_pruned = endpoint_dropped + cascade_stats.lb_pruned();
+  local.endpoint_pruned = endpoint_dropped + cascade_stats.endpoint_pruned;
   local.envelope_pruned = cascade_stats.envelope_pruned;
   local.keogh_pruned = cascade_stats.keogh_pruned;
   local.task_abandoned = cascade_stats.task_abandoned;

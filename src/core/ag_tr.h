@@ -21,8 +21,10 @@
 // evaluates every pair exactly.
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "candidate/features.h"
 #include "core/grouping.h"
 #include "dtw/dtw.h"
 
@@ -40,14 +42,16 @@ struct AgTrOptions {
 };
 
 // Counters from one group() run, for the scalability/parallel benches.
-// The funnel reads top to bottom: of `pairs` total, `blocked` never left
-// the blocking grid, `candidates` reached evaluation, the `*_pruned`
-// stages discarded their share, `task_abandoned` stopped after one DP, and
-// `exact_pairs` ran both.  Eq. (7) mode blocks and prunes nothing.
+// The funnel reads top to bottom: of `pairs` total, `blocked` lie outside
+// the blocking grid's 3^4 neighbor box, `candidates` are the box pairs,
+// the `*_pruned` stages discarded their share (`endpoint_pruned` counts the
+// box pairs blocking drops by the endpoint bound before they reach the
+// cascade), `task_abandoned` stopped after one DP, and `exact_pairs` ran
+// both.  Eq. (7) mode blocks and prunes nothing.
 struct AgTrStats {
   std::size_t pairs = 0;           // unordered pairs considered
   std::size_t blocked = 0;         // excluded by endpoint-grid blocking
-  std::size_t candidates = 0;      // pairs evaluated
+  std::size_t candidates = 0;      // pairs in the blocking box
   std::size_t lb_pruned = 0;       // excluded by the lower-bound cascade
   std::size_t endpoint_pruned = 0;  //   ... at the O(1) endpoint stage
   std::size_t envelope_pruned = 0;  //   ... at the envelope stage
@@ -72,6 +76,8 @@ class AgTr final : public AccountGrouper {
   static std::vector<double> task_series(const AccountTrace& account);
   // Timestamp series in hours.
   static std::vector<double> timestamp_series(const AccountTrace& account);
+  // Both series of every account in one flat table, in account order.
+  static candidate::SeriesTable series_table(const FrameworkInput& input);
 
   // Full pairwise dissimilarity matrices, exposed for the Fig. 4 bench.
   struct Matrices {
@@ -82,8 +88,8 @@ class AgTr final : public AccountGrouper {
   Matrices dissimilarity_matrices(const FrameworkInput& input) const;
 
  private:
-  double dtw_value(const std::vector<double>& a,
-                   const std::vector<double>& b) const;
+  double dtw_value(std::span<const double> a,
+                   std::span<const double> b) const;
 
   AgTrOptions options_;
 };

@@ -32,6 +32,26 @@ std::size_t effective_band(std::size_t m, std::size_t n, std::size_t band) {
   return std::max(band, diff);
 }
 
+// The band keeps the end cell reachable, so a total cost can only be +inf
+// or NaN when some path cost is: a path has at most m + n - 1 cells, each
+// at most (max - min)^2 over both series.  A non-finite element, or values
+// whose squared differences overflow, legitimately give such a cost (which
+// no finite threshold admits); the end-cost invariant holds for all other
+// inputs.
+bool path_cost_may_overflow(std::span<const double> a,
+                            std::span<const double> b) {
+  double lo = kInf, hi = -kInf;
+  for (const std::span<const double> series : {a, b}) {
+    for (const double v : series) {
+      if (!std::isfinite(v)) return true;
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+  }
+  const double bound = static_cast<double>(a.size() + b.size()) * sq(hi - lo);
+  return !(bound < kInf);
+}
+
 // --- Diagonal wavefront (vector dispatch levels) ---------------------------
 //
 // Cells on anti-diagonal d = i + j depend only on diagonals d-1 (the
@@ -52,8 +72,8 @@ std::size_t effective_band(std::size_t m, std::size_t n, std::size_t band) {
 // b makes the cost row contiguous: b[d-i] == b_rev[n-1-d+i].
 //
 // The band region is connected (every in-band cell with i+j > 0 has an
-// in-band predecessor), so computed cells are always finite and an edge
-// cell's infinity never reaches a result.  The recurrence is a min over
+// in-band predecessor), so on finite inputs computed cells are finite and
+// an edge cell's infinity never reaches a result.  The recurrence is a min over
 // exact values followed by one addition, so every cell is bit-identical
 // to the serial rolling-row recurrence's.
 
@@ -113,7 +133,7 @@ double wave_total_cost(std::span<const double> a, std::span<const double> b,
     D0 = t;
   }
   const double end_cost = D1[m];
-  SYBILTD_ASSERT(end_cost < kInf);
+  SYBILTD_ASSERT(end_cost < kInf || path_cost_may_overflow(a, b));
   return end_cost;
 }
 
@@ -248,7 +268,7 @@ double dtw_total_cost(std::span<const double> a, std::span<const double> b,
     std::swap(prev, curr);
   }
   const double end = prev[n - 1];
-  SYBILTD_ASSERT(end < kInf);
+  SYBILTD_ASSERT(end < kInf || path_cost_may_overflow(a, b));
   return end;
 }
 

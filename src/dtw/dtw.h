@@ -41,7 +41,9 @@ DtwResult dtw_full(std::span<const double> a, std::span<const double> b,
 // Total accumulated squared cost only — the value dtw_full reports as
 // total_cost, bit-identical, without materializing the path.  The cost
 // recurrence is a pure min over exact values, so the result is the same
-// at every SIMD dispatch level.
+// at every SIMD dispatch level.  A non-finite element, or squared
+// differences that overflow, make the cost +inf or NaN (which one may
+// differ between levels); neither is below any threshold.
 double dtw_total_cost(std::span<const double> a, std::span<const double> b,
                       const DtwOptions& options = {});
 

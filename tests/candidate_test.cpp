@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -90,6 +92,111 @@ TEST(EndpointGrid, NonPositivePhiEmitsNothing) {
   EXPECT_TRUE(candidate::endpoint_grid_candidates(fps, -1.0).empty());
 }
 
+// Brute force of what blocking must emit: every pair i < j of non-empty
+// series whose endpoint bound (both DTW terms) is below phi.
+std::vector<std::uint64_t> pairs_below_endpoint_bound(
+    const std::vector<std::vector<double>>& xs,
+    const std::vector<std::vector<double>>& ys, double phi) {
+  std::vector<std::uint64_t> pairs;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (std::size_t j = i + 1; j < xs.size(); ++j) {
+      if (xs[i].empty() || xs[j].empty()) continue;
+      if (dtw::endpoint_lower_bound(xs[i], xs[j]) +
+              dtw::endpoint_lower_bound(ys[i], ys[j]) <
+          phi) {
+        pairs.push_back(candidate::pack_pair(i, j));
+      }
+    }
+  }
+  return pairs;
+}
+
+// Blocking visits the 3^4 box and emits exactly the box pairs whose
+// endpoint bound is below phi, so its output must equal the all-pairs
+// list above.  Two inputs: random short trajectories over small task
+// indices and negative-to-positive timestamps, with empty accounts,
+// singletons (the collapsed one-term rule) and near-clones; and a tight
+// cluster that falls in a single cell at phi = 25.
+TEST(EndpointGrid, EmitsExactlyThePairsBelowTheEndpointBound) {
+  std::mt19937_64 rng(18);
+  std::uniform_int_distribution<std::size_t> length(0, 5);
+  std::uniform_int_distribution<int> task(1, 6);
+  std::uniform_real_distribution<double> hour(-3.0, 3.0);
+  std::uniform_real_distribution<double> jitter(0.0, 0.05);
+  std::vector<std::vector<double>> random_xs, random_ys;
+  for (std::size_t i = 0; i < 300; ++i) {
+    std::vector<double> x, y;
+    if (i % 10 == 9) {
+      x = random_xs.back();
+      y = random_ys.back();
+      for (double& h : y) h += jitter(rng);
+    } else {
+      for (std::size_t k = length(rng); k > 0; --k) {
+        x.push_back(task(rng));
+        y.push_back(hour(rng));
+      }
+    }
+    random_xs.push_back(x);
+    random_ys.push_back(y);
+  }
+  // Two singletons 0.8 h apart: bound 0.64 counted once, an edge
+  // candidate at phi = 1; counted twice it would reach 1.28.
+  random_xs.push_back({1.0});
+  random_ys.push_back({0.0});
+  random_xs.push_back({1.0});
+  random_ys.push_back({0.8});
+  // Bounds exactly at phi, which must not be emitted: two singletons in
+  // neighboring cells at phi = 1, and two series in one cell at phi = 25.
+  random_xs.push_back({1.0});
+  random_ys.push_back({0.5});
+  random_xs.push_back({2.0});
+  random_ys.push_back({0.5});
+  random_xs.push_back({1.0, 1.0});
+  random_ys.push_back({0.5, 0.25});
+  random_xs.push_back({1.0, 1.0});
+  random_ys.push_back({3.5, 4.25});
+
+  std::vector<std::vector<double>> cluster_xs, cluster_ys;
+  std::uniform_real_distribution<double> inside(0.1, 4.9);
+  for (std::size_t i = 0; i < 40; ++i) {
+    const std::size_t len = 1 + i % 3;
+    cluster_xs.emplace_back(len, 1.0);
+    std::vector<double> y(len);
+    for (double& h : y) h = inside(rng);
+    cluster_ys.push_back(y);
+  }
+
+  const struct {
+    const char* name;
+    const std::vector<std::vector<double>>& xs;
+    const std::vector<std::vector<double>>& ys;
+    bool one_cell_at_25;
+  } cases[] = {{"random", random_xs, random_ys, false},
+               {"one cell", cluster_xs, cluster_ys, true}};
+  for (const auto& c : cases) {
+    candidate::SeriesTable series;
+    for (std::size_t i = 0; i < c.xs.size(); ++i) {
+      series.append(c.xs[i], c.ys[i]);
+    }
+    const auto fps = candidate::fingerprints_of(series);
+    for (const double phi : {0.01, 1.0, 25.0}) {
+      candidate::BlockingStats stats;
+      const auto pairs = candidate::endpoint_grid_candidates(fps, phi, &stats);
+      const auto expected = pairs_below_endpoint_bound(c.xs, c.ys, phi);
+      EXPECT_FALSE(expected.empty()) << c.name << " phi " << phi;
+      EXPECT_EQ(pairs, expected) << c.name << " phi " << phi;
+      EXPECT_EQ(stats.candidates, pairs.size());
+      EXPECT_GE(stats.box_pairs, stats.candidates);
+    }
+    if (c.one_cell_at_25) {
+      candidate::BlockingStats stats;
+      (void)candidate::endpoint_grid_candidates(fps, 25.0, &stats);
+      EXPECT_EQ(stats.occupied_cells, 1u);
+      EXPECT_EQ(stats.box_pairs, 40u * 39u / 2u);
+    }
+  }
+}
+
 // --- Cascade ---------------------------------------------------------------
 
 TEST(LbCascade, PrunesOnlyPairsBeyondPhiAndReturnsExactValues) {
@@ -98,19 +205,19 @@ TEST(LbCascade, PrunesOnlyPairsBeyondPhiAndReturnsExactValues) {
   std::uniform_int_distribution<std::size_t> length(1, 12);
   const std::size_t n = 48;
   std::vector<std::vector<double>> xs(n), ys(n);
-  std::vector<candidate::TrajectoryFingerprint> fps(n);
+  candidate::SeriesTable series;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t len = length(rng);
     for (std::size_t k = 0; k < len; ++k) {
       xs[i].push_back(value(rng));
       ys[i].push_back(value(rng));
     }
-    fps[i].task = candidate::profile_of(xs[i]);
-    fps[i].time = candidate::profile_of(ys[i]);
+    series.append(xs[i], ys[i]);
   }
+  const auto fps = candidate::fingerprints_of(series);
   candidate::CascadeOptions options;
   options.phi = 6.0;
-  const candidate::LbCascade cascade(xs, ys, fps, options);
+  const candidate::LbCascade cascade(series, fps, options);
   candidate::CascadeStats stats;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
@@ -217,6 +324,159 @@ TEST(AgTrCandidates, FunnelCountersAreConsistent) {
                 stats.keogh_pruned);
   EXPECT_EQ(stats.candidates, stats.lb_pruned + stats.task_abandoned +
                                   stats.exact_pairs);
+}
+
+// Non-finite and extreme timestamps.  A NaN or infinite endpoint keeps an
+// account out of the grid (its endpoint bound is never < phi); +-1e300
+// overflows any cell index and is clamped, which only merges cells.  The
+// grouping must still equal the all-pairs fold, including the edges
+// between twins far beyond the clamp.
+TEST(AgTrCandidates, ExtremeTimestampsMatchAllPairs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<std::pair<std::size_t, double>>> schedules = {
+      {{0, 1.0}, {1, 1.5}},
+      {{0, 1.0}, {1, 1.5}},
+      {{0, inf}},
+      {{0, inf}},
+      {{1, -inf}, {2, 2.0}},
+      {{0, nan}, {1, 1.0}},
+      {{0, 1.0}, {1, nan}},
+      {{2, 1e300}, {1, 1e300}},
+      {{2, 1e300}, {1, 1e300}},
+      {{2, -1e300}},
+      {{2, -1e300}},
+      {{0, 1.0}, {1, inf}, {2, 2.0}},
+      {{0, 1.0}, {1, inf}, {2, 2.0}},
+      {},
+  };
+  core::FrameworkInput input;
+  input.task_count = 3;
+  for (const auto& schedule : schedules) {
+    core::AccountTrace account;
+    for (const auto& [t, h] : schedule) {
+      account.reports.push_back({t, -60.0, h});
+    }
+    input.accounts.push_back(account);
+  }
+  for (const double phi : {0.01, 1.0, 1e6}) {
+    for (const std::size_t band : {0ul, 1ul}) {
+      core::AgTrOptions opt;
+      opt.phi = phi;
+      opt.dtw.band = band;
+      const auto exact = oracle::agtr_all_pairs(input, opt);
+      const auto grouping = core::AgTr(opt).group(input);
+      EXPECT_EQ(exact.labels(), grouping.labels())
+          << "phi " << phi << " band " << band;
+      EXPECT_EQ(exact.groups(), grouping.groups())
+          << "phi " << phi << " band " << band;
+      // The finite twins and the +-1e300 twins are edges.
+      EXPECT_EQ(grouping.group_of(0), grouping.group_of(1));
+      EXPECT_EQ(grouping.group_of(7), grouping.group_of(8));
+      EXPECT_EQ(grouping.group_of(9), grouping.group_of(10));
+    }
+  }
+}
+
+// Test-local recount of the AG-TR funnel: every pair of non-empty series
+// within Chebyshev cell distance <= 1 on the sqrt(phi) endpoint grid is a
+// box pair, classified by the first cascade stage whose bound reaches phi.
+core::AgTrStats recount_funnel(const core::FrameworkInput& input,
+                               const core::AgTrOptions& opt) {
+  const std::size_t n = input.accounts.size();
+  std::vector<std::vector<double>> xs(n), ys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = core::AgTr::task_series(input.accounts[i]);
+    ys[i] = core::AgTr::timestamp_series(input.accounts[i]);
+  }
+  const double width = std::sqrt(opt.phi);
+  const auto cell = [&](double v) {
+    return static_cast<std::int64_t>(std::floor(v / width));
+  };
+  const auto near = [&](double a, double b) {
+    return std::abs(cell(a) - cell(b)) <= 1;
+  };
+  core::AgTrStats s;
+  s.pairs = n * (n - 1) / 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const auto &xi = xs[i], &xj = xs[j], &yi = ys[i], &yj = ys[j];
+      if (xi.empty() || xj.empty()) continue;
+      if (!near(xi.front(), xj.front()) || !near(xi.back(), xj.back()) ||
+          !near(yi.front(), yj.front()) || !near(yi.back(), yj.back())) {
+        continue;
+      }
+      ++s.candidates;
+      double bx = dtw::endpoint_lower_bound(xi, xj);
+      double by = dtw::endpoint_lower_bound(yi, yj);
+      if (bx + by >= opt.phi) {
+        ++s.endpoint_pruned;
+        continue;
+      }
+      const auto envelope = [](const std::vector<double>& query,
+                               const std::vector<double>& other) {
+        return candidate::envelope_bound(query, candidate::profile_of(other));
+      };
+      bx = std::max({bx, envelope(xi, xj), envelope(xj, xi)});
+      by = std::max({by, envelope(yi, yj), envelope(yj, yi)});
+      if (bx + by >= opt.phi) {
+        ++s.envelope_pruned;
+        continue;
+      }
+      if (opt.dtw.band > 0 && xi.size() == xj.size()) {
+        bx = std::max({bx, dtw::lb_keogh(xi, xj, opt.dtw.band),
+                       dtw::lb_keogh(xj, xi, opt.dtw.band)});
+        by = std::max({by, dtw::lb_keogh(yi, yj, opt.dtw.band),
+                       dtw::lb_keogh(yj, yi, opt.dtw.band)});
+        if (bx + by >= opt.phi) {
+          ++s.keogh_pruned;
+          continue;
+        }
+      }
+      if (dtw::dtw_total_cost(xi, xj, opt.dtw) >= opt.phi) {
+        ++s.task_abandoned;
+      } else {
+        ++s.exact_pairs;
+      }
+    }
+  }
+  s.blocked = s.pairs - s.candidates;
+  s.lb_pruned = s.endpoint_pruned + s.envelope_pruned + s.keogh_pruned;
+  return s;
+}
+
+// Every AgTrStats counter against the recount, at the default phi and at
+// phi = 16 (where more pairs reach the later stages), with and without a
+// Sakoe-Chiba band so the strict LB_Keogh stage runs.
+TEST(AgTrCandidates, FunnelCountersMatchBruteForceRecount) {
+  const auto input = scenario_input(50, 5, 4, 25, 5);
+  for (const double phi : {1.0, 16.0}) {
+    for (const std::size_t band : {0ul, 2ul}) {
+      core::AgTrOptions opt;
+      opt.phi = phi;
+      opt.dtw.band = band;
+      core::AgTrStats stats;
+      (void)core::AgTr(opt).group_with_stats(input, &stats);
+      const core::AgTrStats want = recount_funnel(input, opt);
+      const std::string where =
+          "phi " + std::to_string(phi) + " band " + std::to_string(band);
+      EXPECT_EQ(stats.pairs, want.pairs) << where;
+      EXPECT_EQ(stats.blocked, want.blocked) << where;
+      EXPECT_EQ(stats.candidates, want.candidates) << where;
+      EXPECT_EQ(stats.lb_pruned, want.lb_pruned) << where;
+      EXPECT_EQ(stats.endpoint_pruned, want.endpoint_pruned) << where;
+      EXPECT_EQ(stats.envelope_pruned, want.envelope_pruned) << where;
+      EXPECT_EQ(stats.keogh_pruned, want.keogh_pruned) << where;
+      EXPECT_EQ(stats.task_abandoned, want.task_abandoned) << where;
+      EXPECT_EQ(stats.exact_pairs, want.exact_pairs) << where;
+      EXPECT_GT(want.endpoint_pruned, 0u) << where;
+      EXPECT_GT(want.exact_pairs, 0u) << where;
+      // At phi = 16 the band is tight enough for LB_Keogh to prune.
+      if (band > 0 && phi > 1.0) {
+        EXPECT_GT(want.keogh_pruned, 0u) << where;
+      }
+    }
+  }
 }
 
 // --- AG-TS -----------------------------------------------------------------
