@@ -665,8 +665,8 @@ void BM_ReportDecodeGeneric(benchmark::State& state) {
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_alloc_tracking.store(true, std::memory_order_relaxed);
   for (auto _ : state) {
-    const server::DecodedReports decoded =
-        server::decode_reports(body, 0, kSubmitTasks, /*allow_fast=*/false);
+    server::DecodedReports decoded;
+    server::decode_reports_generic(body, 0, kSubmitTasks, &decoded);
     benchmark::DoNotOptimize(decoded.reports.data());
   }
   g_alloc_tracking.store(false, std::memory_order_relaxed);

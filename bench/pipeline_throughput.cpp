@@ -122,14 +122,13 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
 
-  TextTable shard_table({"shard", "accepted", "dropped", "rejected",
-                         "applied", "batches", "regroups", "queue hwm"});
+  TextTable shard_table({"shard", "accepted", "rejected", "applied",
+                         "batches", "regroups", "queue hwm"});
   for (const pipeline::ShardStatus& s : last_shards) {
     shard_table.add_row(
         {std::to_string(s.shard), std::to_string(s.accepted),
-         std::to_string(s.dropped), std::to_string(s.rejected),
-         std::to_string(s.applied), std::to_string(s.batches),
-         std::to_string(s.regroups),
+         std::to_string(s.rejected), std::to_string(s.applied),
+         std::to_string(s.batches), std::to_string(s.regroups),
          std::to_string(s.queue_high_watermark) + "/" +
              std::to_string(s.queue_capacity)});
   }

@@ -85,7 +85,7 @@ ThreadPool::ThreadPool(std::size_t concurrency) {
   }
   threads_.reserve(concurrency);
   for (std::size_t i = 0; i < concurrency; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
+    threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -159,7 +159,7 @@ bool ThreadPool::try_pop_or_steal(std::size_t self, Task& task) {
   return found;
 }
 
-void ThreadPool::worker_main(std::size_t self) {
+void ThreadPool::worker_loop(std::size_t self) {
   tl_worker_pool = this;
   tl_worker_index = self;
   for (;;) {

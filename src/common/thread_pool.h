@@ -138,7 +138,7 @@ class ThreadPool {
   };
   struct LoopState;
 
-  void worker_main(std::size_t self);
+  void worker_loop(std::size_t self);
   bool try_pop_or_steal(std::size_t self, Task& task);
   static void run_loop_chunks(const std::shared_ptr<LoopState>& state);
 

@@ -104,7 +104,14 @@ PushResult CampaignEngine::submit(const Report& report) {
   SYBILTD_CHECK(!std::isnan(report.value), "report value must not be NaN");
   submitted_.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = *shards_[shard_of(report.campaign)];
-  const PushResult result = shard.queue().push(report, options_.backpressure);
+  PushResult result = PushResult::kClosed;
+  {
+    ReportQueue::BatchLock lock(shard.queue());
+    if (lock.wait_for_space()) {
+      lock.push(report);
+      result = PushResult::kOk;
+    }
+  }
   shard.record_push(result);
   return result;
 }
@@ -122,15 +129,22 @@ SubmitStatus CampaignEngine::try_submit(const Report& report) {
   if (std::isnan(report.value)) return SubmitStatus::kInvalidValue;
   submitted_.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = *shards_[shard_of(report.campaign)];
-  const PushResult result =
-      shard.queue().push(report, BackpressurePolicy::kReject);
+  PushResult result = PushResult::kRejected;
+  {
+    ReportQueue::BatchLock lock(shard.queue());
+    if (lock.closed()) {
+      result = PushResult::kClosed;
+    } else if (lock.free() > 0) {
+      lock.push(report);
+      result = PushResult::kOk;
+    }
+  }
   shard.record_push(result);
   switch (result) {
     case PushResult::kOk:
       return SubmitStatus::kAccepted;
     case PushResult::kClosed:
       return SubmitStatus::kClosed;
-    case PushResult::kDropped:
     case PushResult::kRejected:
       break;
   }
@@ -254,14 +268,28 @@ std::shared_ptr<const CampaignSnapshot> CampaignEngine::snapshot(
 }
 
 void CampaignEngine::drain() {
+  const DrainTicket ticket = request_drain();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->wait_finalized(ticket.shard_tickets[s]);
+  }
+}
+
+DrainTicket CampaignEngine::request_drain() {
   SYBILTD_CHECK(running_.load(std::memory_order_acquire),
                 "drain() needs a running engine");
-  std::vector<std::uint64_t> tickets;
-  tickets.reserve(shards_.size());
-  for (auto& shard : shards_) tickets.push_back(shard->request_finalize());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->wait_finalized(tickets[s]);
+  DrainTicket ticket;
+  ticket.shard_tickets.reserve(shards_.size());
+  for (auto& shard : shards_) {
+    ticket.shard_tickets.push_back(shard->request_finalize());
   }
+  return ticket;
+}
+
+bool CampaignEngine::drained(const DrainTicket& ticket) const {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (!shards_[s]->finalized(ticket.shard_tickets[s])) return false;
+  }
+  return true;
 }
 
 void CampaignEngine::stop() {
@@ -284,7 +312,6 @@ EngineCounters CampaignEngine::counters() const {
     status.queue_capacity = shard->queue().capacity();
     status.queue_high_watermark = shard->queue().high_watermark();
     status.accepted = c.accepted.load(std::memory_order_relaxed);
-    status.dropped = c.dropped.load(std::memory_order_relaxed);
     status.rejected = c.rejected.load(std::memory_order_relaxed);
     status.applied = c.applied.load(std::memory_order_relaxed);
     status.batches = c.batches.load(std::memory_order_relaxed);
@@ -292,7 +319,6 @@ EngineCounters CampaignEngine::counters() const {
     status.evictions = c.evictions.load(std::memory_order_relaxed);
     status.publications = c.publications.load(std::memory_order_relaxed);
     totals.accepted += status.accepted;
-    totals.dropped += status.dropped;
     totals.rejected += status.rejected;
     totals.applied += status.applied;
     totals.batches += status.batches;

@@ -30,7 +30,9 @@
 // report has been applied, then has each worker run its campaigns to full
 // convergence through the same core::run_framework code path the one-shot
 // evaluation uses — with decay = 1 a drained snapshot matches the batch
-// result on identical data (tested to 1e-9).
+// result on identical data (tested to 1e-9).  It is request_drain() plus a
+// wait; an event loop that must not block calls request_drain() and polls
+// drained() instead.
 #pragma once
 
 #include <atomic>
@@ -54,8 +56,6 @@ struct EngineOptions {
   std::size_t shard_count = 2;
   // Capacity of each shard's ingestion queue.
   std::size_t queue_capacity = 4096;
-  // Producer-side behaviour when a queue is full.
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   // Micro-batch size cap per scheduling round.
   std::size_t max_batch = 256;
   // Grouping / decay / refinement configuration shared by all shards.
@@ -71,8 +71,7 @@ struct ShardStatus {
   std::size_t queue_capacity = 0;        // configured ring capacity
   std::size_t queue_high_watermark = 0;  // max occupancy ever observed
   std::uint64_t accepted = 0;            // reports enqueued to this shard
-  std::uint64_t dropped = 0;             // kDropNewest discards here
-  std::uint64_t rejected = 0;            // kReject refusals here
+  std::uint64_t rejected = 0;            // try_submit refusals here
   std::uint64_t applied = 0;             // reports applied to states
   std::uint64_t batches = 0;             // micro-batches processed
   std::uint64_t regroups = 0;            // grouping rebuilds
@@ -91,8 +90,7 @@ struct EngineCounters {
   std::uint64_t submitted = 0;  // submit() calls that passed validation
   std::uint64_t submitted_batches = 0;  // try_submit_batch() calls
   std::uint64_t accepted = 0;   // reports enqueued
-  std::uint64_t dropped = 0;    // discarded by kDropNewest backpressure
-  std::uint64_t rejected = 0;   // refused by kReject backpressure
+  std::uint64_t rejected = 0;   // refused by try_submit on a full queue
   std::uint64_t applied = 0;    // reports applied to campaign states
   std::uint64_t batches = 0;    // micro-batches processed
   std::uint64_t regroups = 0;   // incremental grouping rebuilds
@@ -128,6 +126,12 @@ struct SubmitBatchResult {
   SubmitStatus status = SubmitStatus::kAccepted;
 };
 
+// One drain barrier in flight: a finalize ticket per shard, from
+// CampaignEngine::request_drain().
+struct DrainTicket {
+  std::vector<std::uint64_t> shard_tickets;
+};
+
 class CampaignEngine {
  public:
   explicit CampaignEngine(EngineOptions options = {});
@@ -150,14 +154,16 @@ class CampaignEngine {
   // ThreadPool::set_global_concurrency) while the engine is running.
   void start();
 
-  // Enqueue one report under the configured backpressure policy.
-  // Validates campaign/task/value; requires a started engine.
+  // Enqueue one report, waiting while its shard queue is full (lossless:
+  // producers slow to the workers' pace).  Returns kOk, or kClosed when
+  // stop() closes the queue first, including mid-wait.  Validates
+  // campaign/task/value; requires a started engine.
   PushResult submit(const Report& report);
 
-  // Non-blocking, non-throwing submit for network front ends: always uses
-  // kReject semantics regardless of the configured backpressure policy, so
-  // an event loop can never be stalled by a full shard queue, and folds
-  // the validation outcome into the returned status instead of throwing.
+  // Non-blocking, non-throwing submit for network front ends: a full shard
+  // queue is refused (kQueueFull) rather than waited on, so an event loop
+  // can never be stalled, and the validation outcome is folded into the
+  // returned status instead of thrown.
   // Wait-free up to the shard queue's own mutex: validation reads the
   // routing table, never a lock shared with add_campaign().
   SubmitStatus try_submit(const Report& report);
@@ -182,8 +188,15 @@ class CampaignEngine {
   // Barrier: wait until every accepted report has been applied, then run
   // every campaign to full convergence and publish final snapshots.
   // Callable repeatedly; must not race with submit() calls whose reports
-  // the barrier is expected to cover.
+  // the barrier is expected to cover.  Equivalent to request_drain() and
+  // waiting until drained() holds.
   void drain();
+
+  // The non-blocking halves of drain(): request_drain() asks every shard
+  // for a finalize pass covering the reports accepted so far, and
+  // drained() tells whether all of them have run.
+  DrainTicket request_drain();
+  bool drained(const DrainTicket& ticket) const;
 
   // Close the queues and wait for every shard chain to finish (remaining
   // queued reports are applied first).  Idempotent; also run by the

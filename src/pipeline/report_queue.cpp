@@ -22,6 +22,13 @@ void ReportQueue::BatchLock::push(const Report& report) {
   ++pushed_;
 }
 
+bool ReportQueue::BatchLock::wait_for_space() {
+  queue_.not_full_.wait(lock_, [&] {
+    return queue_.count_ < queue_.capacity_ || queue_.closed_;
+  });
+  return !queue_.closed_;
+}
+
 ReportQueue::BatchLock::~BatchLock() {
   if (pushed_ > 0 && queue_.count_ > queue_.high_watermark_) {
     queue_.high_watermark_ = queue_.count_;
@@ -30,41 +37,6 @@ ReportQueue::BatchLock::~BatchLock() {
   // One wake-up per run; each shard queue has a single consumer chain, so
   // notify_one is sufficient even for multi-report runs.
   if (pushed_ > 0) queue_.not_empty_.notify_one();
-}
-
-PushResult ReportQueue::push(const Report& report, BackpressurePolicy policy) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (closed_) return PushResult::kClosed;
-  if (count_ == capacity_) {
-    switch (policy) {
-      case BackpressurePolicy::kDropNewest:
-        return PushResult::kDropped;
-      case BackpressurePolicy::kReject:
-        return PushResult::kRejected;
-      case BackpressurePolicy::kBlock:
-        not_full_.wait(lock, [&] { return count_ < capacity_ || closed_; });
-        if (closed_) return PushResult::kClosed;
-        break;
-    }
-  }
-  ring_[(head_ + count_) % capacity_] = report;
-  ++count_;
-  if (count_ > high_watermark_) high_watermark_ = count_;
-  lock.unlock();
-  not_empty_.notify_one();
-  return PushResult::kOk;
-}
-
-bool ReportQueue::pop(Report& out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait(lock, [&] { return count_ > 0 || closed_; });
-  if (count_ == 0) return false;  // closed and drained
-  out = ring_[head_];
-  head_ = (head_ + 1) % capacity_;
-  --count_;
-  lock.unlock();
-  not_full_.notify_all();
-  return true;
 }
 
 std::size_t ReportQueue::pop_batch(std::vector<Report>& out, std::size_t max,

@@ -3,19 +3,14 @@
 // A real MCS platform receives sensing reports from millions of account
 // sessions concurrently; the aggregation side must be able to push back
 // when it falls behind instead of growing without bound.  ReportQueue is a
-// fixed-capacity ring buffer with three producer-side backpressure
-// policies:
+// fixed-capacity ring buffer with one way in, BatchLock: a producer either
+// waits for space (CampaignEngine::submit, lossless) or inspects free()
+// and refuses what does not fit (try_submit / try_submit_batch, which a
+// network front end maps to 429).
 //
-//   kBlock      — wait until space frees up (lossless; producers slow down
-//                 to the consumer's pace),
-//   kDropNewest — discard the incoming report when full (lossy but
-//                 non-blocking; the engine counts every drop),
-//   kReject     — return kRejected when full so the caller can retry later
-//                 or shed load upstream (non-blocking, caller-visible).
-//
-// All operations are linearizable under one internal mutex; consumers can
-// pop single reports or micro-batches (pop_batch), which is how the
-// pipeline workers amortize per-batch regrouping and refinement.
+// All operations are linearizable under one internal mutex; the consumer
+// pops micro-batches (pop_batch), which is how the pipeline workers
+// amortize per-batch regrouping and refinement.
 #pragma once
 
 #include <chrono>
@@ -42,9 +37,7 @@ struct Report {
   std::uint64_t ingest_ticks = 0;
 };
 
-enum class BackpressurePolicy { kBlock, kDropNewest, kReject };
-
-enum class PushResult { kOk, kDropped, kRejected, kClosed };
+enum class PushResult { kOk, kRejected, kClosed };
 
 class ReportQueue {
  public:
@@ -53,13 +46,13 @@ class ReportQueue {
   ReportQueue(const ReportQueue&) = delete;
   ReportQueue& operator=(const ReportQueue&) = delete;
 
-  // Two-phase batched push.  A BatchLock pins the queue's mutex so a caller
-  // can *decide* how much of a multi-report run fits (free()/closed()) and
-  // then insert exactly that run atomically — nothing can close the queue or
-  // steal capacity between the decision and the insert.  This is what makes
-  // the engine's try_submit_batch() clean-prefix contract exact instead of
-  // best-effort: with per-report push() a concurrent close() could land in
-  // the middle of a run and split it.
+  // The only way into the queue.  A BatchLock pins the queue's mutex so a
+  // caller can *decide* how much of a multi-report run fits (free()/
+  // closed()) and then insert exactly that run atomically — nothing can
+  // close the queue or steal capacity between the decision and the insert.
+  // This is what makes the engine's try_submit_batch() clean-prefix
+  // contract exact instead of best-effort: a concurrent close() can never
+  // land in the middle of a run and split it.
   //
   // Consumers are notified once on release (destructor), not per report, so
   // a 100-report run costs one lock round-trip instead of 100.
@@ -78,6 +71,10 @@ class ReportQueue {
     bool closed() const { return queue_.closed_; }
     // Slots available right now; stable while the lock is held.
     std::size_t free() const { return queue_.capacity_ - queue_.count_; }
+    // Wait until free() > 0 or the queue is closed; returns !closed().  The
+    // mutex is released while waiting, so what the caller read before the
+    // wait no longer holds after it.
+    bool wait_for_space();
     // Insert one report.  Precondition: !closed() && free() > 0.
     void push(const Report& report);
 
@@ -87,21 +84,15 @@ class ReportQueue {
     std::size_t pushed_ = 0;
   };
 
-  // Enqueue one report under the given policy.  Returns kClosed once the
-  // queue has been closed (also wakes blocked producers).
-  PushResult push(const Report& report, BackpressurePolicy policy);
-
-  // Blocking single pop; returns false when the queue is closed and empty.
-  bool pop(Report& out);
-
   // Pop up to `max` reports, appending to `out`.  Blocks up to `wait` for
   // the first report, then takes everything immediately available.  Returns
   // the number popped: 0 on timeout or when closed and empty.
   std::size_t pop_batch(std::vector<Report>& out, std::size_t max,
                         std::chrono::milliseconds wait);
 
-  // Close the queue: producers get kClosed, consumers drain the remaining
-  // reports and then see pop() == false / pop_batch() == 0.
+  // Close the queue: BatchLock::closed() turns true (waiting producers
+  // wake), and the consumer drains the remaining reports and then sees
+  // pop_batch() == 0.
   void close();
 
   bool closed() const;

@@ -24,10 +24,8 @@ namespace {
 struct PipelineMetrics {
   obs::Counter& accepted = obs::MetricsRegistry::global().counter(
       "pipeline.accepted", "reports enqueued across all shards");
-  obs::Counter& dropped = obs::MetricsRegistry::global().counter(
-      "pipeline.dropped", "reports discarded by kDropNewest backpressure");
   obs::Counter& rejected = obs::MetricsRegistry::global().counter(
-      "pipeline.rejected", "reports refused by kReject backpressure");
+      "pipeline.rejected", "reports refused by try_submit on a full queue");
   obs::Counter& applied = obs::MetricsRegistry::global().counter(
       "pipeline.applied", "reports applied to campaign states");
   obs::Counter& batches = obs::MetricsRegistry::global().counter(
@@ -379,19 +377,13 @@ Shard::Shard(std::size_t index, const ShardOptions& options,
 }
 
 void Shard::record_push(PushResult result) {
-  auto& metrics = PipelineMetrics::get();
   switch (result) {
     case PushResult::kOk:
-      counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-      metrics.accepted.inc();
-      break;
-    case PushResult::kDropped:
-      counters_.dropped.fetch_add(1, std::memory_order_relaxed);
-      metrics.dropped.inc();
+      record_accepted(1);
       break;
     case PushResult::kRejected:
       counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-      metrics.rejected.inc();
+      PipelineMetrics::get().rejected.inc();
       break;
     case PushResult::kClosed:
       break;
@@ -509,15 +501,16 @@ std::uint64_t Shard::request_finalize() {
   return finalize_requested_.fetch_add(1, std::memory_order_acq_rel) + 1;
 }
 
+bool Shard::finalized(std::uint64_t ticket) const {
+  return finalize_done_.load(std::memory_order_acquire) >= ticket;
+}
+
 void Shard::wait_finalized(std::uint64_t ticket) {
   std::unique_lock<std::mutex> lock(finalize_mutex_);
-  finalize_cv_.wait(lock, [&] {
-    return finalize_done_.load(std::memory_order_acquire) >= ticket;
-  });
+  finalize_cv_.wait(lock, [&] { return finalized(ticket); });
 }
 
 bool Shard::step() {
-  constexpr std::chrono::milliseconds kIdlePoll{2};
   batch_.clear();
   if (queue_.pop_batch(batch_, max_batch_, kIdlePoll) > 0) {
     // A report can only be enqueued after its campaign's pending entry was
@@ -571,11 +564,6 @@ bool Shard::step() {
     finalize_cv_.notify_all();
   }
   return false;
-}
-
-void Shard::run() {
-  while (step()) {
-  }
 }
 
 }  // namespace sybiltd::pipeline

@@ -37,12 +37,13 @@
 //
 // Threading contract: all CampaignState mutation happens on the shard's
 // worker thread; readers see results only through the published
-// SnapshotCell.  The finalize handshake (request_finalize/wait_finalized)
-// is how the engine's drain() barrier asks the worker to run every owned
-// campaign to full convergence once its queue is empty.
+// SnapshotCell.  The finalize handshake (request_finalize, then finalized
+// or wait_finalized) is how the engine's drain barrier asks the worker to
+// run every owned campaign to full convergence once its queue is empty.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -91,8 +92,7 @@ struct ShardOptions {
 // consistent cut (see EngineCounters).
 struct ShardCounters {
   std::atomic<std::uint64_t> accepted{0};      // reports enqueued here
-  std::atomic<std::uint64_t> dropped{0};       // kDropNewest discards here
-  std::atomic<std::uint64_t> rejected{0};      // kReject refusals here
+  std::atomic<std::uint64_t> rejected{0};      // try_submit refusals here
   std::atomic<std::uint64_t> applied{0};       // reports applied to states
   std::atomic<std::uint64_t> batches{0};       // micro-batches processed
   std::atomic<std::uint64_t> regroups{0};      // grouping rebuilds
@@ -224,8 +224,9 @@ class Shard {
   Shard(std::size_t index, const ShardOptions& options,
         std::size_t queue_capacity, std::size_t max_batch);
 
-  // Register an owned campaign.  Must happen before run() starts; publishes
-  // the version-0 empty snapshot so readers never observe a null cell.
+  // Register an owned campaign.  Must happen before the engine schedules
+  // step(); publishes the version-0 empty snapshot so readers never observe
+  // a null cell.
   void add_campaign(std::size_t campaign, std::size_t task_count,
                     SnapshotCell* cell);
 
@@ -249,6 +250,10 @@ class Shard {
   // counter updates per run instead of one per report.
   void record_accepted(std::size_t n);
 
+  // How long an idle step() waits for a report before it checks for a
+  // finalize request: a requested drain starts at most this late.
+  static constexpr std::chrono::milliseconds kIdlePoll{2};
+
   // One cooperative scheduling round: pop one micro-batch and process it,
   // or (when idle) honor a pending finalize request.  Returns false once
   // the queue is closed and drained — after running any finalize that
@@ -257,15 +262,12 @@ class Shard {
   // shard never monopolizes a pool worker between batches.
   bool step();
 
-  // Worker loop: step() until the shard is done.  Equivalent to the chain
-  // the engine schedules, for callers that dedicate a thread to the shard.
-  void run();
-
   // Drain barrier: ask the worker to run every owned campaign to full
-  // convergence once its queue is empty.  Returns a ticket for
-  // wait_finalized.  Callers must not submit concurrently with a drain
-  // they expect to cover those reports.
+  // convergence once its queue is empty.  Returns a ticket for finalized()
+  // (non-blocking) or wait_finalized().  Callers must not submit
+  // concurrently with a drain they expect to cover those reports.
   std::uint64_t request_finalize();
+  bool finalized(std::uint64_t ticket) const;
   void wait_finalized(std::uint64_t ticket);
 
   // Test/diagnostic access to a campaign's state.  Only safe when the

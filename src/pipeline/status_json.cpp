@@ -65,7 +65,6 @@ std::string to_json(const ShardStatus& status) {
   append_u64(out, "queue_high_watermark", status.queue_high_watermark,
              &first);
   append_u64(out, "accepted", status.accepted, &first);
-  append_u64(out, "dropped", status.dropped, &first);
   append_u64(out, "rejected", status.rejected, &first);
   append_u64(out, "applied", status.applied, &first);
   append_u64(out, "batches", status.batches, &first);
@@ -82,7 +81,6 @@ std::string to_json(const EngineCounters& counters) {
   append_u64(out, "submitted", counters.submitted, &first);
   append_u64(out, "submitted_batches", counters.submitted_batches, &first);
   append_u64(out, "accepted", counters.accepted, &first);
-  append_u64(out, "dropped", counters.dropped, &first);
   append_u64(out, "rejected", counters.rejected, &first);
   append_u64(out, "applied", counters.applied, &first);
   append_u64(out, "batches", counters.batches, &first);

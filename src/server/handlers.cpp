@@ -292,13 +292,12 @@ bool is_drain_request(const HttpRequest& request, std::size_t* campaign) {
          segments[3] == "drain" && parse_index(segments[2], campaign);
 }
 
-HandlerResponse handle_drain(pipeline::CampaignEngine& engine,
-                             std::size_t campaign) {
+HandlerResponse drain_response(const pipeline::CampaignEngine& engine,
+                               std::size_t campaign) {
   HandlerMetrics::get().drain.inc();
   if (engine.campaign_task_count(campaign) == 0) {
     return make_error(404, "unknown campaign");
   }
-  engine.drain();
   const auto snapshot = engine.snapshot(campaign);
   std::string body =
       "{\"campaign\": " + std::to_string(campaign) +
@@ -373,7 +372,7 @@ HandlerResponse handle_api_request(pipeline::CampaignEngine& engine,
       metrics.groups.inc();
       return handle_groups(engine, campaign);
     }
-    // NB: .../drain belongs to is_drain_request/handle_drain.
+    // NB: .../drain belongs to is_drain_request/drain_response.
   }
   metrics.other.inc();
   return make_error(404, "no such resource");

@@ -24,9 +24,10 @@
 // before ANY report of the batch reaches a shard, unknown campaign -> 404,
 // engine shutting down -> 503.
 //
-// Drain is the one slow endpoint (it blocks on the convergence barrier),
-// so the event loop hands it to a worker instead of calling it inline;
-// is_drain_request() is how the loop recognizes it.
+// Drain is the one endpoint that waits (on the convergence barrier).  The
+// event loop never blocks on it: is_drain_request() recognizes it, the
+// loop calls engine.request_drain() for a known campaign, polls
+// engine.drained(), and renders the answer with drain_response().
 #pragma once
 
 #include <cstddef>
@@ -63,8 +64,7 @@ struct HandlerContext {
 };
 
 // True when the request targets POST /v1/campaigns/{id}/drain; extracts
-// the campaign id.  Such requests must go to handle_drain (on a worker),
-// never to handle_api_request.
+// the campaign id.  Such requests never go to handle_api_request.
 bool is_drain_request(const HttpRequest& request, std::size_t* campaign);
 
 // Dispatch any non-drain request.  Never blocks: ingestion uses
@@ -73,11 +73,11 @@ HandlerResponse handle_api_request(pipeline::CampaignEngine& engine,
                                    const HttpRequest& request,
                                    const HandlerContext& context = {});
 
-// Run the drain barrier to completion and render the drained campaign's
-// snapshot summary.  Blocks until every accepted report is reflected;
-// call from a worker thread.
-HandlerResponse handle_drain(pipeline::CampaignEngine& engine,
-                             std::size_t campaign);
+// The answer to POST /v1/campaigns/{id}/drain once the barrier requested
+// for it has completed: the drained campaign's snapshot summary, or 404
+// for an unknown campaign (which needs no barrier).  Never blocks.
+HandlerResponse drain_response(const pipeline::CampaignEngine& engine,
+                               std::size_t campaign);
 
 // A JSON error document {"error": "..."}.
 std::string error_body(std::string_view message);

@@ -371,9 +371,9 @@ void decode_reports_generic(std::string_view body, std::size_t campaign,
 }
 
 DecodedReports decode_reports(std::string_view body, std::size_t campaign,
-                              std::size_t task_count, bool allow_fast) {
+                              std::size_t task_count) {
   DecodedReports out;
-  if (allow_fast && decode_reports_fast(body, campaign, task_count, &out)) {
+  if (decode_reports_fast(body, campaign, task_count, &out)) {
     return out;
   }
   decode_reports_generic(body, campaign, task_count, &out);

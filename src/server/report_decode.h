@@ -60,11 +60,11 @@ struct DecodedReports {
   std::vector<pipeline::Report> heap;
 };
 
-// Decode an ingest request body.  Tries the fast path first (unless
-// `allow_fast` is false), falling back to the generic codec; the result
-// is identical either way, only `fast_path` and the storage differ.
+// Decode an ingest request body.  Tries the fast path first, falling back
+// to the generic codec; the result is identical either way, only
+// `fast_path` and the storage differ.
 DecodedReports decode_reports(std::string_view body, std::size_t campaign,
-                              std::size_t task_count, bool allow_fast = true);
+                              std::size_t task_count);
 
 // Internals, exposed for the differential tests and microbenches.
 // decode_reports_fast returns false ("not mine") without touching the

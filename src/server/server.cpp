@@ -12,12 +12,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -117,6 +115,12 @@ void append_json_number(std::string& out, double value) {
 }
 
 std::size_t resolve_loop_count(const ServerOptions& options) {
+#ifndef SO_REUSEPORT
+  // Each loop accepts on its own listener, and listeners can share a port
+  // only through SO_REUSEPORT.
+  (void)options;
+  return 1;
+#endif
   std::size_t loops = options.loops;
   if (loops == 0) {
     if (const char* env = std::getenv("SYBILTD_SERVER_LOOPS")) {
@@ -137,17 +141,29 @@ struct CampaignServer::Impl {
   explicit Impl(ServerOptions opts)
       : options(std::move(opts)), engine(options.engine) {}
 
-  // One multiplexed connection.  Owned by exactly one loop; `generation`
-  // distinguishes a live connection from a recycled slot when a parked
-  // drain completes late.
+  // A drain barrier the owning loop requested and polls until every shard
+  // has finalized it.  The connection reads no further requests until the
+  // drain is answered.
+  struct PendingDrain {
+    pipeline::DrainTicket ticket;
+    std::size_t campaign = 0;
+    bool keep_alive = true;
+    std::uint64_t request_id = 0;
+    std::string target;  // for the slow-request log
+    std::chrono::steady_clock::time_point start;
+  };
+
+  // One multiplexed connection, owned by exactly one loop for its whole
+  // lifetime: every member is touched only by that loop's thread.
   struct Connection {
     int fd = -1;
-    std::uint64_t generation = 0;
     HttpParser parser;
     std::string out;             // bytes not yet written to the socket
     std::size_t out_offset = 0;  // prefix of `out` already written
+    // Close once `out` is flushed and no drain is parked: set by a
+    // non-keep-alive response, a parse error, or the peer's EOF.
     bool close_after_flush = false;
-    bool waiting_slow = false;  // parked: a drain is running for it
+    std::optional<PendingDrain> drain;
 
     // Metric-stream state (GET /v1/metrics/stream).  Once `sse` flips the
     // connection stops parsing requests and instead receives one event per
@@ -160,42 +176,22 @@ struct CampaignServer::Impl {
     std::unordered_map<std::size_t, std::uint64_t> sse_versions;
 
     explicit Connection(const HttpLimits& limits) : parser(limits) {}
+
+    bool flushed() const { return out_offset >= out.size(); }
+    bool finished() const { return close_after_flush && !drain && flushed(); }
   };
 
-  struct SlowJob {
-    std::uint64_t generation = 0;
-    int fd = -1;            // key into the owning loop's map at completion
-    std::size_t loop = 0;   // which loop parked the connection
-    std::size_t campaign = 0;
-    bool keep_alive = true;
-    std::uint64_t request_id = 0;
-    std::string target;  // for the slow-request log
-    std::chrono::steady_clock::time_point start;
-  };
-
-  struct SlowDone {
-    std::uint64_t generation = 0;
-    int fd = -1;
-    bool keep_alive = true;
-    std::uint64_t request_id = 0;
-    std::string target;
-    HandlerResponse response;
-    std::chrono::steady_clock::time_point start;
-  };
-
-  // One event loop: a poll() set over connections this loop owns, plus an
-  // inbox other threads use to hand it work (accepted fds in shared-acceptor
-  // mode, drain completions from the worker).  Everything outside the inbox
-  // is touched only by the loop's own thread.
+  // One event loop: its own listener and a poll() set over the connections
+  // it accepted.  Nothing here is touched by another thread except
+  // wake_write, which request_shutdown() writes to.
   struct Loop {
     std::size_t index = 0;
-    int listen_fd = -1;   // own listener (SO_REUSEPORT) or loop 0's shared one
+    int listen_fd = -1;
     int wake_read = -1;
-    int wake_write = -1;  // async-signal-safe side; also the inbox doorbell
+    int wake_write = -1;  // async-signal-safe shutdown doorbell
     int reserve_fd = -1;  // spare descriptor for EMFILE shedding
     std::thread thread;
     std::unordered_map<int, Connection> connections;
-    std::uint64_t next_generation = 1;
 
     // Index-labeled series (server.loop.*{loop=<index>}) so repeated
     // server constructions reuse the same entries, mirroring the per-shard
@@ -203,50 +199,37 @@ struct CampaignServer::Impl {
     obs::Counter* requests_counter = nullptr;
     obs::Gauge* connections_gauge = nullptr;
     std::size_t sse_connections = 0;  // loop-owned /v1/metrics/stream conns
-
-    // Cross-thread inbox, drained after a wake.
-    std::mutex inbox_mutex;
-    std::vector<int> inbox_fds;
-    std::deque<SlowDone> inbox_done;
+    std::size_t pending_drains = 0;   // connections parked on a drain
   };
 
   ServerOptions options;
   pipeline::CampaignEngine engine;
 
   std::size_t loop_count = 1;
-  bool reuseport = true;  // accept mode actually in use
   std::vector<std::unique_ptr<Loop>> loops;  // immutable once start() returns
   std::uint16_t bound_port = 0;
-  std::size_t rr_next = 0;  // shared-acceptor round-robin (acceptor thread)
   std::atomic<std::size_t> active_connections{0};
 
-  std::thread worker_thread;
   std::atomic<bool> started{false};
   std::atomic<bool> stopped{false};
   std::atomic<bool> shutdown_requested{false};
   std::atomic<bool> ready{true};
   std::atomic<std::uint64_t> next_request_id{1};
 
-  // Event loops -> worker: drain jobs.  Worker -> owning loop: completions
-  // via the loop's inbox plus a wake.
-  std::mutex slow_mutex;
-  std::condition_variable slow_cv;
-  std::deque<SlowJob> slow_jobs;
-  bool worker_quit = false;
-
   // --- Socket setup ---------------------------------------------------------
 
-  int open_listener(bool with_reuseport, std::uint16_t port) {
+  int open_listener(std::uint16_t port) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     SYBILTD_CHECK(fd >= 0, "socket() failed");
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 #ifdef SO_REUSEPORT
-    if (with_reuseport) {
+    // Several loops: every listener carries SO_REUSEPORT before bind, so
+    // the kernel balances accepts across them.  One loop keeps a plain
+    // listener.
+    if (loop_count > 1) {
       ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
     }
-#else
-    (void)with_reuseport;
 #endif
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -274,18 +257,6 @@ struct CampaignServer::Impl {
 
   void open_sockets() {
     loop_count = resolve_loop_count(options);
-#ifdef SO_REUSEPORT
-    reuseport = true;
-#else
-    reuseport = false;
-#endif
-    if (const char* env = std::getenv("SYBILTD_SERVER_ACCEPT")) {
-      if (std::string_view(env) == "shared") reuseport = false;
-    }
-    // One listener needs no kernel balancing; the plain path also keeps
-    // single-loop behaviour identical to the historical server.
-    if (loop_count == 1) reuseport = false;
-
     loops.reserve(loop_count);
     auto& metrics = ServerMetrics::get();
     for (std::size_t i = 0; i < loop_count; ++i) {
@@ -303,35 +274,16 @@ struct CampaignServer::Impl {
       loop->connections_gauge = &metrics.loop_connections.at(label);
       loops.push_back(std::move(loop));
     }
-
-    if (reuseport) {
-      // Every listener (the first included) must carry SO_REUSEPORT before
-      // bind for the kernel to build the balancing group; the first bind
-      // resolves an ephemeral port for the rest to join.
-      loops[0]->listen_fd = open_listener(/*with_reuseport=*/true,
-                                          options.port);
-      bound_port = local_port(loops[0]->listen_fd);
-      for (std::size_t i = 1; i < loop_count; ++i) {
-        loops[i]->listen_fd = open_listener(/*with_reuseport=*/true,
-                                            bound_port);
-      }
-    } else {
-      // Shared-acceptor fallback: loop 0 owns the only listener and
-      // round-robins accepted fds to the other loops over their inboxes.
-      loops[0]->listen_fd = open_listener(/*with_reuseport=*/false,
-                                          options.port);
-      bound_port = local_port(loops[0]->listen_fd);
+    // The first bind resolves an ephemeral port for the rest to join.
+    loops[0]->listen_fd = open_listener(options.port);
+    bound_port = local_port(loops[0]->listen_fd);
+    for (std::size_t i = 1; i < loop_count; ++i) {
+      loops[i]->listen_fd = open_listener(bound_port);
     }
   }
 
   void close_sockets() {
     for (auto& loop : loops) {
-      {
-        // Accepted fds handed off after their target loop already exited.
-        std::lock_guard<std::mutex> lock(loop->inbox_mutex);
-        for (int fd : loop->inbox_fds) ::close(fd);
-        loop->inbox_fds.clear();
-      }
       if (loop->listen_fd >= 0) ::close(loop->listen_fd);
       if (loop->wake_read >= 0) ::close(loop->wake_read);
       if (loop->wake_write >= 0) ::close(loop->wake_write);
@@ -346,34 +298,6 @@ struct CampaignServer::Impl {
     // Full pipe means a wake is already pending; EINTR retry is the only
     // loop, keeping this callable from a signal handler.
     while (::write(loop.wake_write, &byte, 1) < 0 && errno == EINTR) {
-    }
-  }
-
-  // --- Worker thread (drain barrier) ----------------------------------------
-
-  void worker_main() {
-    while (true) {
-      SlowJob job;
-      {
-        std::unique_lock<std::mutex> lock(slow_mutex);
-        slow_cv.wait(lock,
-                     [this] { return worker_quit || !slow_jobs.empty(); });
-        if (slow_jobs.empty()) return;  // quit with no pending work
-        job = std::move(slow_jobs.front());
-        slow_jobs.pop_front();
-      }
-      SlowDone done;
-      done.generation = job.generation;
-      done.fd = job.fd;
-      done.keep_alive = job.keep_alive;
-      done.start = job.start;
-      done.response = handle_drain(engine, job.campaign);
-      Loop& loop = *loops[job.loop];
-      {
-        std::lock_guard<std::mutex> lock(loop.inbox_mutex);
-        loop.inbox_done.push_back(std::move(done));
-      }
-      wake(loop);
     }
   }
 
@@ -424,6 +348,11 @@ struct CampaignServer::Impl {
       --loop.sse_connections;
       ServerMetrics::get().sse_clients.add(-1.0);
     }
+    // A drain parked here is simply abandoned: its finalize still runs and
+    // nothing will read the ticket again.
+    if (it != loop.connections.end() && it->second.drain) {
+      --loop.pending_drains;
+    }
     ::close(fd);
     loop.connections.erase(fd);
     const std::size_t active =
@@ -432,34 +361,16 @@ struct CampaignServer::Impl {
     loop.connections_gauge->set(static_cast<double>(loop.connections.size()));
   }
 
-  // Take ownership of an accepted socket on this loop's thread.
+  // Take ownership of a socket this loop accepted.
   void adopt_fd(Loop& loop, int fd) {
     set_nonblocking(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     Connection conn(options.http);
     conn.fd = fd;
-    conn.generation = loop.next_generation++;
     loop.connections.emplace(fd, std::move(conn));
     ServerMetrics::get().connections_accepted.inc();
     loop.connections_gauge->set(static_cast<double>(loop.connections.size()));
-  }
-
-  // Hand a freshly accepted fd to a loop (shared-acceptor mode only; the
-  // caller is loop 0's thread).  The global connection count was already
-  // charged at accept time.
-  void deliver_fd(Loop& from, int fd) {
-    Loop& target = *loops[rr_next];
-    rr_next = (rr_next + 1) % loops.size();
-    if (&target == &from) {
-      adopt_fd(target, fd);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(target.inbox_mutex);
-      target.inbox_fds.push_back(fd);
-    }
-    wake(target);
   }
 
   void accept_new(Loop& loop) {
@@ -517,11 +428,7 @@ struct CampaignServer::Impl {
         continue;
       }
       metrics.connections_active.set(static_cast<double>(active));
-      if (reuseport || loops.size() == 1) {
-        adopt_fd(loop, fd);
-      } else {
-        deliver_fd(loop, fd);
-      }
+      adopt_fd(loop, fd);
     }
   }
 
@@ -642,18 +549,18 @@ struct CampaignServer::Impl {
     record_response(200, start, request.target, request_id);
   }
 
-  // Parse and answer everything buffered on the connection.  Returns false
-  // when the connection should be closed immediately.
-  bool process_requests(Loop& loop, Connection& conn) {
-    if (conn.waiting_slow) return true;  // parked until the drain completes
-    if (conn.sse) return true;  // streaming: input is ignored from here on
+  // Parse and answer everything buffered on the connection, stopping at a
+  // drain: the requests behind it wait until the drain is answered.
+  void process_requests(Loop& loop, Connection& conn) {
+    if (conn.drain) return;  // parked until the drain is answered
+    if (conn.sse) return;    // streaming: input is ignored from here on
     auto& metrics = ServerMetrics::get();
     HttpRequest request;
     while (true) {
       const std::uint64_t parse_start =
           obs::trace_enabled() ? obs::detail::trace_now_us() : 0;
       const HttpParser::Status status = conn.parser.next(request);
-      if (status == HttpParser::Status::kNeedMore) return true;
+      if (status == HttpParser::Status::kNeedMore) return;
       const std::uint64_t request_id =
           next_request_id.fetch_add(1, std::memory_order_relaxed);
       if (status == HttpParser::Status::kError) {
@@ -665,7 +572,7 @@ struct CampaignServer::Impl {
                                  error_body(conn.parser.error_reason())};
         queue_response(conn, response, /*keep_alive=*/false, start,
                        "<parse error>", request_id);
-        return true;  // flush the error, then close
+        return;  // flush the error, then close
       }
       if (obs::trace_enabled()) {
         obs::detail::trace_span_end(
@@ -680,28 +587,20 @@ struct CampaignServer::Impl {
           request.keep_alive && !shutdown_requested.load();
       std::size_t campaign = 0;
       if (is_drain_request(request, &campaign)) {
-        SlowJob job;
-        job.generation = conn.generation;
-        job.fd = conn.fd;
-        job.loop = loop.index;
-        job.campaign = campaign;
-        job.keep_alive = keep_alive;
-        job.request_id = request_id;
-        job.target = std::string(request.target);
-        job.start = start;
-        conn.waiting_slow = true;
-        {
-          std::lock_guard<std::mutex> lock(slow_mutex);
-          slow_jobs.push_back(std::move(job));
+        if (engine.campaign_task_count(campaign) == 0) {
+          queue_response(conn, drain_response(engine, campaign), keep_alive,
+                         start, request.target, request_id);
+          continue;
         }
-        slow_cv.notify_one();
-        // Later pipelined requests stay buffered in the parser until the
-        // drain response is queued.
-        return true;
+        conn.drain = PendingDrain{engine.request_drain(), campaign,
+                                  keep_alive, request_id,
+                                  std::string(request.target), start};
+        ++loop.pending_drains;
+        return;
       }
       if (is_stream_request(request)) {
         start_stream(loop, conn, request, start, request_id);
-        return true;
+        return;
       }
       HandlerContext context;
       context.ready = !shutdown_requested.load() &&
@@ -712,7 +611,8 @@ struct CampaignServer::Impl {
     }
   }
 
-  // Returns false when the peer hung up or errored.
+  // Feed everything readable to the parser.  Returns false once the peer
+  // has stopped sending (EOF) or the socket failed.
   bool read_from(Connection& conn) {
     char buffer[16384];
     while (true) {
@@ -753,42 +653,28 @@ struct CampaignServer::Impl {
     }
   }
 
-  // Adopt handed-off fds and apply drain completions.  Runs on the loop's
-  // thread after a wake (and once per iteration as a safety net).
-  void collect_inbox(Loop& loop, bool stopping) {
-    std::vector<int> fds;
-    std::deque<SlowDone> done;
-    {
-      std::lock_guard<std::mutex> lock(loop.inbox_mutex);
-      fds.swap(loop.inbox_fds);
-      done.swap(loop.inbox_done);
-    }
+  void close_all(Loop& loop, std::vector<int>& fds) {
     for (int fd : fds) {
-      if (stopping) {
-        // Accepted before shutdown, handed off after: close instead of
-        // serving, and release the slot charged at accept time.
-        ::close(fd);
-        const std::size_t active =
-            active_connections.fetch_sub(1, std::memory_order_relaxed) - 1;
-        ServerMetrics::get().connections_active.set(
-            static_cast<double>(active));
-        continue;
-      }
-      adopt_fd(loop, fd);
+      if (loop.connections.count(fd) != 0) close_connection(loop, fd);
     }
-    for (SlowDone& item : done) {
-      auto it = loop.connections.find(item.fd);
-      if (it == loop.connections.end() ||
-          it->second.generation != item.generation) {
-        continue;  // peer went away while draining; drop the response
-      }
-      Connection& conn = it->second;
-      conn.waiting_slow = false;
-      queue_response(conn, item.response, item.keep_alive, item.start,
-                     item.target, item.request_id);
-      // Answer any requests the peer pipelined behind the drain.
+    fds.clear();
+  }
+
+  // Answer every parked drain whose barrier has completed, then the
+  // requests its peer pipelined behind it.
+  void finish_drains(Loop& loop, std::vector<int>& to_close) {
+    for (auto& [fd, conn] : loop.connections) {
+      if (!conn.drain || !engine.drained(conn.drain->ticket)) continue;
+      const PendingDrain drain = std::move(*conn.drain);
+      conn.drain.reset();
+      --loop.pending_drains;
+      queue_response(conn, drain_response(engine, drain.campaign),
+                     drain.keep_alive, drain.start, drain.target,
+                     drain.request_id);
       process_requests(loop, conn);
+      if (!flush_to(conn) || conn.finished()) to_close.push_back(fd);
     }
+    close_all(loop, to_close);
   }
 
   void loop_main(Loop& loop) {
@@ -796,14 +682,13 @@ struct CampaignServer::Impl {
     std::vector<int> to_close;
     while (true) {
       const bool stopping = shutdown_requested.load();
-      // Once shutdown is requested and every response has been flushed,
-      // this loop is done; wait() joining all loops forms the barrier.
+      // Once shutdown is requested and every response has been flushed and
+      // every parked drain answered, this loop is done; wait() joining all
+      // loops forms the barrier.
       if (stopping) {
-        collect_inbox(loop, /*stopping=*/true);
         bool pending = false;
         for (const auto& [fd, conn] : loop.connections) {
-          if (conn.waiting_slow || conn.out_offset < conn.out.size() ||
-              !conn.out.empty()) {
+          if (conn.drain || !conn.out.empty()) {
             pending = true;
             break;
           }
@@ -813,14 +698,14 @@ struct CampaignServer::Impl {
 
       pollfds.clear();
       pollfds.push_back({loop.wake_read, POLLIN, 0});
-      if (!stopping && loop.listen_fd >= 0) {
-        pollfds.push_back({loop.listen_fd, POLLIN, 0});
-      }
+      if (!stopping) pollfds.push_back({loop.listen_fd, POLLIN, 0});
       for (const auto& [fd, conn] : loop.connections) {
+        // Listed even with no events: poll() still reports POLLERR for a
+        // connection the peer reset while its drain is parked.
         short events = 0;
-        if (!conn.waiting_slow) events |= POLLIN;
-        if (conn.out_offset < conn.out.size()) events |= POLLOUT;
-        if (events != 0) pollfds.push_back({fd, events, 0});
+        if (!conn.drain && !conn.close_after_flush) events |= POLLIN;
+        if (!conn.flushed()) events |= POLLOUT;
+        pollfds.push_back({fd, events, 0});
       }
 
       int timeout_ms = stopping ? 100 : 1000;
@@ -835,6 +720,13 @@ struct CampaignServer::Impl {
                                  .count();
           timeout_ms = std::clamp(static_cast<int>(until), 1, timeout_ms);
         }
+      }
+      if (loop.pending_drains > 0) {
+        // A shard notices a finalize request within its idle poll, so
+        // polling the tickets more often than that gains nothing.
+        timeout_ms = std::min(
+            timeout_ms,
+            static_cast<int>(pipeline::Shard::kIdlePoll.count()));
       }
       const int poll_ready =
           ::poll(pollfds.data(), static_cast<nfds_t>(pollfds.size()),
@@ -854,27 +746,19 @@ struct CampaignServer::Impl {
         auto it = loop.connections.find(pfd.fd);
         if (it == loop.connections.end()) continue;
         Connection& conn = it->second;
-        bool alive = true;
-        if (pfd.revents & (POLLERR | POLLNVAL)) alive = false;
+        bool alive = (pfd.revents & (POLLERR | POLLNVAL)) == 0;
         if (alive && (pfd.revents & (POLLIN | POLLHUP))) {
-          alive = read_from(conn);
-          if (alive) alive = process_requests(loop, conn);
-          // EOF with queued output: still flush what we owe.
-          if (!alive && conn.out_offset < conn.out.size()) alive = true;
+          // At EOF the peer may still be reading (a half-close): answer
+          // every complete request it sent, flush, then close.
+          if (!read_from(conn)) conn.close_after_flush = true;
+          process_requests(loop, conn);
         }
         if (alive && (pfd.revents & POLLOUT)) alive = flush_to(conn);
-        const bool flushed = conn.out_offset >= conn.out.size();
-        if (!alive || (flushed && conn.close_after_flush)) {
-          to_close.push_back(pfd.fd);
-        }
+        if (!alive || conn.finished()) to_close.push_back(pfd.fd);
       }
-      // Closing also covers fds with a drain in flight: erasing the slot
-      // is what makes collect_inbox's generation check drop the stale
-      // completion instead of writing to a recycled descriptor.
-      for (int fd : to_close) {
-        if (loop.connections.count(fd) != 0) close_connection(loop, fd);
-      }
-      to_close.clear();
+      close_all(loop, to_close);
+
+      if (loop.pending_drains > 0) finish_drains(loop, to_close);
 
       // Stream tick: emit due events, drop clients that stopped reading.
       if (!stopping && loop.sse_connections > 0) {
@@ -896,30 +780,22 @@ struct CampaignServer::Impl {
           conn.sse_next = now + conn.sse_interval;
           flush_to(conn);
         }
-        for (int fd : to_close) {
-          if (loop.connections.count(fd) != 0) close_connection(loop, fd);
-        }
-        to_close.clear();
+        close_all(loop, to_close);
       }
-
-      collect_inbox(loop, shutdown_requested.load());
 
       if (stopping) {
         // Cut keep-alive connections that owe us nothing.
-        std::vector<int> idle;
         for (const auto& [fd, conn] : loop.connections) {
-          if (!conn.waiting_slow && conn.out.empty() &&
+          if (!conn.drain && conn.out.empty() &&
               !conn.parser.mid_request()) {
-            idle.push_back(fd);
+            to_close.push_back(fd);
           }
         }
-        for (int fd : idle) close_connection(loop, fd);
+        close_all(loop, to_close);
       }
     }
 
-    // Final sweep: release everything this loop still owns, including fds
-    // that were handed off but never adopted.
-    collect_inbox(loop, /*stopping=*/true);
+    // Final sweep: release everything this loop still owns.
     for (const auto& [fd, conn] : loop.connections) {
       ::close(fd);
       active_connections.fetch_sub(1, std::memory_order_relaxed);
@@ -941,7 +817,6 @@ void CampaignServer::start() {
   impl_->open_sockets();
   impl_->engine.start();
   impl_->started.store(true);
-  impl_->worker_thread = std::thread([this] { impl_->worker_main(); });
   for (auto& loop : impl_->loops) {
     Impl::Loop* raw = loop.get();
     raw->thread = std::thread([this, raw] { impl_->loop_main(*raw); });
@@ -979,12 +854,6 @@ void CampaignServer::wait() {
   for (auto& loop : impl_->loops) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(impl_->slow_mutex);
-    impl_->worker_quit = true;
-  }
-  impl_->slow_cv.notify_one();
-  if (impl_->worker_thread.joinable()) impl_->worker_thread.join();
   if (!impl_->stopped.exchange(true)) {
     // Graceful contract: every report accepted over the wire is reflected
     // in a final converged snapshot before the process exits.

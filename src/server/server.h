@@ -2,35 +2,31 @@
 // pipeline::CampaignEngine.
 //
 // Threading model: N event-loop threads (ServerOptions::loops /
-// SYBILTD_SERVER_LOOPS, default 1) each multiplex a disjoint subset of the
-// connections with poll() over non-blocking sockets, plus one slow-op
-// worker that runs the drain barrier.  Every connection is owned by
-// exactly one loop for its whole lifetime — parser state, output buffer
-// and generation counter are plain members touched only by that loop's
-// thread — so the read/parse/respond path has no cross-loop locking at
-// all.  Ingestion goes through the engine's wait-free routing table and
-// try_submit_batch() (kReject semantics — a full shard queue becomes a
-// 429, not a stalled loop), and snapshot queries read wait-free cells.
+// SYBILTD_SERVER_LOOPS, default 1) and nothing else.  Each loop accepts
+// on its own listener — with N > 1 every listener binds the same port
+// with SO_REUSEPORT and the kernel balances accepts; where SO_REUSEPORT is
+// not defined N resolves to 1 — and multiplexes the connections it
+// accepted with poll() over non-blocking sockets.  A connection is touched
+// only by the loop that accepted it, from accept to close, so the
+// read/parse/respond path has no locking at all.  Ingestion goes through
+// the engine's wait-free routing table and try_submit_batch() (a full
+// shard queue becomes a 429, not a stalled loop), and snapshot queries
+// read wait-free cells.
 //
-// Connections are spread across loops by SO_REUSEPORT: each loop has its
-// own listener bound to the same port and the kernel load-balances
-// accepts.  Where SO_REUSEPORT is unavailable (or SYBILTD_SERVER_ACCEPT=
-// shared forces it, which the tests use), loop 0 owns the single listener
-// and round-robins accepted fds to the other loops over their wake pipes.
-//
-// Drain is the one endpoint that must block (it waits for the convergence
-// barrier), so a loop parks the connection, hands the request to the
-// worker, and the worker wakes the owning loop — by index — when the
-// response is ready.  A connection generation counter guards the
-// hand-back: if the peer disconnected while draining, the stale completion
-// is discarded instead of writing to a recycled slot.
+// Drain is the one endpoint that waits (for the convergence barrier).  The
+// owning loop starts it with the engine's non-blocking request_drain(),
+// parks the connection — requests pipelined behind the drain wait
+// unanswered — and polls drained() at the shard's idle-poll interval while
+// any drain is parked; then it answers the drain and the parked requests.
+// A peer that closes meanwhile takes its parked drain with it.
 //
 // Shutdown is graceful and signal-driven: request_shutdown() is
 // async-signal-safe (one write() per loop's wake pipe), after which every
-// loop stops accepting, finishes its in-flight responses and returns;
-// wait() joining all N loops is the drain barrier, and only then is the
-// engine drained so every accepted report is reflected in final snapshots
-// (the accepted ⇒ applied contract is loop-count independent).
+// loop stops accepting, answers its parked drains, finishes its in-flight
+// responses and returns; wait() joining all N loops is the drain barrier,
+// and only then is the engine drained so every accepted report is
+// reflected in final snapshots (the accepted ⇒ applied contract is
+// loop-count independent).
 #pragma once
 
 #include <cstdint>
@@ -64,8 +60,7 @@ class CampaignServer {
   CampaignServer(const CampaignServer&) = delete;
   CampaignServer& operator=(const CampaignServer&) = delete;
 
-  // Bind, listen, start the engine, and launch the event-loop and worker
-  // threads.  Throws common::Error on socket failures (e.g. port in use).
+  // Bind, listen, start the engine, and launch the event-loop threads.  Throws common::Error on socket failures (e.g. port in use).
   void start();
 
   // The bound port (resolves port 0 after start()).

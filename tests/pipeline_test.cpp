@@ -7,23 +7,21 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/ag_ts.h"
 #include "core/data_grouping.h"
 #include "core/framework.h"
 #include "obs/metrics.h"
 #include "pipeline/engine.h"
 #include "pipeline/report_queue.h"
+#include "parked_pool.h"
 
 namespace sybiltd::pipeline {
 namespace {
@@ -32,32 +30,28 @@ using std::chrono::milliseconds;
 
 // --- ReportQueue -----------------------------------------------------------
 
+// Push one report through the queue's only entrance, waiting for space.
+PushResult blocking_push(ReportQueue& queue, const Report& report) {
+  ReportQueue::BatchLock lock(queue);
+  if (!lock.wait_for_space()) return PushResult::kClosed;
+  lock.push(report);
+  return PushResult::kOk;
+}
+
 TEST(ReportQueue, FifoOrderWithinCapacity) {
   ReportQueue queue(8);
   for (std::size_t k = 0; k < 5; ++k) {
-    EXPECT_EQ(queue.push({0, k, 0, double(k), 0.0},
-                         BackpressurePolicy::kBlock),
+    EXPECT_EQ(blocking_push(queue, {0, k, 0, double(k), 0.0}),
               PushResult::kOk);
   }
   EXPECT_EQ(queue.size(), 5u);
-  Report out;
+  std::vector<Report> out;
+  ASSERT_EQ(queue.pop_batch(out, 16, milliseconds(0)), 5u);
   for (std::size_t k = 0; k < 5; ++k) {
-    ASSERT_TRUE(queue.pop(out));
-    EXPECT_EQ(out.account, k);
-    EXPECT_DOUBLE_EQ(out.value, double(k));
+    EXPECT_EQ(out[k].account, k);
+    EXPECT_DOUBLE_EQ(out[k].value, double(k));
   }
   EXPECT_TRUE(queue.empty());
-}
-
-TEST(ReportQueue, DropAndRejectPoliciesWhenFull) {
-  ReportQueue queue(2);
-  EXPECT_EQ(queue.push({}, BackpressurePolicy::kBlock), PushResult::kOk);
-  EXPECT_EQ(queue.push({}, BackpressurePolicy::kBlock), PushResult::kOk);
-  EXPECT_EQ(queue.push({}, BackpressurePolicy::kDropNewest),
-            PushResult::kDropped);
-  EXPECT_EQ(queue.push({}, BackpressurePolicy::kReject),
-            PushResult::kRejected);
-  EXPECT_EQ(queue.size(), 2u);  // the full ring was untouched
 }
 
 TEST(ReportQueueBatchLock, InsertsRunAtomicallyAndUpdatesWatermark) {
@@ -73,16 +67,16 @@ TEST(ReportQueueBatchLock, InsertsRunAtomicallyAndUpdatesWatermark) {
   }
   EXPECT_EQ(queue.size(), 3u);
   EXPECT_EQ(queue.high_watermark(), 3u);
-  Report out;
+  std::vector<Report> out;
+  ASSERT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 3u);
   for (std::size_t k = 0; k < 3; ++k) {
-    ASSERT_TRUE(queue.pop(out));
-    EXPECT_EQ(out.account, k);  // FIFO order preserved through the run
+    EXPECT_EQ(out[k].account, k);  // FIFO order preserved through the run
   }
 }
 
 TEST(ReportQueueBatchLock, ReportsFreeSpaceAndClosedState) {
   ReportQueue queue(2);
-  EXPECT_EQ(queue.push({}, BackpressurePolicy::kBlock), PushResult::kOk);
+  EXPECT_EQ(blocking_push(queue, {}), PushResult::kOk);
   {
     ReportQueue::BatchLock lock(queue);
     EXPECT_EQ(lock.free(), 1u);
@@ -93,44 +87,7 @@ TEST(ReportQueueBatchLock, ReportsFreeSpaceAndClosedState) {
   queue.close();
   ReportQueue::BatchLock lock(queue);
   EXPECT_TRUE(lock.closed());
-}
-
-TEST(ReportQueue, BlockingPushWaitsForSpace) {
-  ReportQueue queue(2);
-  queue.push({0, 0, 0, 0.0, 0.0}, BackpressurePolicy::kBlock);
-  queue.push({0, 1, 0, 0.0, 0.0}, BackpressurePolicy::kBlock);
-  std::thread producer([&] {
-    EXPECT_EQ(queue.push({0, 2, 0, 0.0, 0.0}, BackpressurePolicy::kBlock),
-              PushResult::kOk);
-  });
-  Report out;
-  ASSERT_TRUE(queue.pop(out));  // frees the slot the producer is waiting on
-  producer.join();
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(ReportQueue, CloseUnblocksProducersAndConsumers) {
-  ReportQueue queue(1);
-  queue.push({}, BackpressurePolicy::kBlock);
-  std::thread producer([&] {
-    // Blocks on the full ring (no consumer is draining) until close()
-    // fails the push from underneath.
-    EXPECT_EQ(queue.push({}, BackpressurePolicy::kBlock), PushResult::kClosed);
-  });
-  std::this_thread::sleep_for(milliseconds(20));
-  queue.close();
-  producer.join();
-
-  // The pre-close item is still delivered; afterwards pop() reports
-  // closed-and-drained and further pushes fail immediately.
-  std::thread consumer([&] {
-    Report out;
-    std::size_t drained = 0;
-    while (queue.pop(out)) ++drained;
-    EXPECT_EQ(drained, 1u);
-  });
-  consumer.join();
-  EXPECT_EQ(queue.push({}, BackpressurePolicy::kBlock), PushResult::kClosed);
+  EXPECT_FALSE(lock.wait_for_space());  // closed: returns without waiting
 }
 
 TEST(ReportQueue, MultiProducerMultiConsumerLosesNothing) {
@@ -161,8 +118,7 @@ TEST(ReportQueue, MultiProducerMultiConsumerLosesNothing) {
     producers.emplace_back([&, p] {
       for (std::size_t k = 0; k < kPerProducer; ++k) {
         const std::size_t tag = p * kPerProducer + k;
-        ASSERT_EQ(queue.push({0, tag, 0, 0.0, 0.0},
-                             BackpressurePolicy::kBlock),
+        ASSERT_EQ(blocking_push(queue, {0, tag, 0, 0.0, 0.0}),
                   PushResult::kOk);
       }
     });
@@ -247,7 +203,6 @@ TEST(CampaignEngine, MultiProducerIngestLosesNothing) {
   EXPECT_EQ(counters.submitted, reports.size());
   EXPECT_EQ(counters.accepted, reports.size());
   EXPECT_EQ(counters.applied, reports.size());
-  EXPECT_EQ(counters.dropped, 0u);
   EXPECT_EQ(counters.rejected, 0u);
   EXPECT_GT(counters.batches, 0u);
 
@@ -439,8 +394,7 @@ TEST(CampaignStateRefine, RegroupAndRefineHistogramsCountTouchedCampaigns) {
   const std::uint64_t refine_before = refine.count();
   // Campaigns 0, 1 and 2 in one micro-batch; campaign 3 is not touched.
   for (std::size_t r = 0; r < 9; ++r) {
-    ASSERT_EQ(shard.queue().push({r % 3, r, r % 4, -60.0, 0.0},
-                                 BackpressurePolicy::kBlock),
+    ASSERT_EQ(blocking_push(shard.queue(), {r % 3, r, r % 4, -60.0, 0.0}),
               PushResult::kOk);
   }
   ASSERT_TRUE(shard.step());
@@ -559,6 +513,108 @@ TEST(CampaignEngine, DecayEvictsAbandonedAccounts) {
   EXPECT_EQ(snap->group_of.size(), 10u);  // accounts stay known
   EXPECT_EQ(engine.counters().evictions, 45u);  // 9 silent accounts × 5 tasks
   engine.stop();
+}
+
+// --- Engine: backpressure at a full shard queue ---------------------------
+
+// One shard of capacity 2 on a parked pool: nothing pops, so the queue is
+// full after two reports until the pool is released.
+EngineOptions one_tiny_shard() {
+  EngineOptions options;
+  options.shard_count = 1;
+  options.queue_capacity = 2;
+  return options;
+}
+
+TEST(CampaignEngine, SubmitBlocksUntilQueueHasSpace) {
+  ParkedPool pool;
+  {
+    CampaignEngine engine(one_tiny_shard());
+    engine.add_campaign(3);
+    engine.start();
+    ASSERT_EQ(engine.submit({0, 0, 0, 1.0, 0.0}), PushResult::kOk);
+    ASSERT_EQ(engine.submit({0, 1, 0, 2.0, 0.0}), PushResult::kOk);
+    std::atomic<bool> returned{false};
+    std::thread producer([&] {
+      EXPECT_EQ(engine.submit({0, 2, 0, 3.0, 0.0}), PushResult::kOk);
+      returned.store(true);
+    });
+    while (engine.counters().submitted < 3) std::this_thread::yield();
+    std::this_thread::sleep_for(milliseconds(20));
+    EXPECT_FALSE(returned.load()) << "submit() returned on a full queue";
+    pool.release();  // the shard pops, freeing the slot the producer needs
+    producer.join();
+    engine.drain();
+    const EngineCounters counters = engine.counters();
+    EXPECT_EQ(counters.accepted, 3u);
+    EXPECT_EQ(counters.rejected, 0u);
+    EXPECT_EQ(counters.applied, 3u);
+    engine.stop();
+  }
+}
+
+TEST(CampaignEngine, StopUnblocksWaitingSubmit) {
+  ParkedPool pool;
+  {
+    CampaignEngine engine(one_tiny_shard());
+    engine.add_campaign(3);
+    engine.start();
+    ASSERT_EQ(engine.submit({0, 0, 0, 1.0, 0.0}), PushResult::kOk);
+    ASSERT_EQ(engine.submit({0, 1, 0, 2.0, 0.0}), PushResult::kOk);
+    std::thread producer([&] {
+      // Waits on the full queue until stop() closes it from underneath.
+      EXPECT_EQ(engine.submit({0, 2, 0, 3.0, 0.0}), PushResult::kClosed);
+    });
+    while (engine.counters().submitted < 3) std::this_thread::yield();
+    // stop() closes the queues first, then waits for the shard chain,
+    // which needs the pool: run it beside the release.
+    std::thread stopper([&] { engine.stop(); });
+    producer.join();
+    pool.release();
+    stopper.join();
+    // The two reports queued before the close are still applied.
+    const EngineCounters counters = engine.counters();
+    EXPECT_EQ(counters.accepted, 2u);
+    EXPECT_EQ(counters.applied, 2u);
+  }
+}
+
+TEST(CampaignEngine, TrySubmitRejectsWhenQueueFull) {
+  ParkedPool pool;
+  {
+    CampaignEngine engine(one_tiny_shard());
+    engine.add_campaign(3);
+    engine.start();
+    EXPECT_EQ(engine.try_submit({0, 0, 0, 1.0, 0.0}), SubmitStatus::kAccepted);
+    EXPECT_EQ(engine.try_submit({0, 1, 0, 2.0, 0.0}), SubmitStatus::kAccepted);
+    EXPECT_EQ(engine.try_submit({0, 2, 0, 3.0, 0.0}),
+              SubmitStatus::kQueueFull);
+    const EngineCounters counters = engine.counters();
+    EXPECT_EQ(counters.rejected, 1u);
+    EXPECT_EQ(counters.shards[0].queue_depth, 2u);  // the ring is untouched
+    pool.release();
+    engine.drain();
+    EXPECT_EQ(engine.counters().applied, 2u);
+    engine.stop();
+  }
+}
+
+TEST(CampaignEngine, RequestDrainCompletesWithoutBlocking) {
+  ParkedPool pool;
+  {
+    CampaignEngine engine(one_tiny_shard());
+    engine.add_campaign(3);
+    engine.start();
+    ASSERT_EQ(engine.submit({0, 0, 0, 1.0, 0.0}), PushResult::kOk);
+    const DrainTicket ticket = engine.request_drain();
+    EXPECT_FALSE(engine.drained(ticket));  // the shard cannot run yet
+    pool.release();
+    while (!engine.drained(ticket)) std::this_thread::yield();
+    const auto snapshot = engine.snapshot(0);
+    EXPECT_EQ(snapshot->applied_reports, 1u);
+    EXPECT_TRUE(snapshot->converged);
+    engine.stop();
+  }
 }
 
 // --- Engine: argument validation -------------------------------------------
@@ -837,11 +893,11 @@ TEST(TrySubmitBatch, EmptyBatchAndNotRunning) {
   engine.stop();
 }
 
-// Deterministic queue-full coverage: shrink the global pool to one worker
-// and park it, so no shard chain can pop while the batch lands.  Both the
-// batch engine and the loop oracle hit the same frozen queues.
+// Deterministic queue-full coverage: park the global pool, so no shard
+// chain can pop while the batch lands.  Both the batch engine and the loop
+// oracle hit the same frozen queues.
 TEST(TrySubmitBatch, QueueFullStopsAtCleanPrefixAcrossShards) {
-  ThreadPool::set_global_concurrency(1);
+  ParkedPool pool;
   {
     EngineOptions options;
     options.shard_count = 2;
@@ -852,16 +908,6 @@ TEST(TrySubmitBatch, QueueFullStopsAtCleanPrefixAcrossShards) {
       for (int c = 0; c < 2; ++c) engine->add_campaign(2);
       engine->start();
     }
-    std::atomic<bool> blocker_running{false};
-    std::atomic<bool> release{false};
-    std::mutex blocker_mutex;
-    std::condition_variable blocker_cv;
-    ThreadPool::global().submit([&] {
-      blocker_running.store(true);
-      std::unique_lock<std::mutex> lock(blocker_mutex);
-      blocker_cv.wait(lock, [&] { return release.load(); });
-    });
-    while (!blocker_running.load()) std::this_thread::yield();
 
     // Campaigns 0/1 land on shards 0/1; each shard holds 2.  The batch
     // interleaves shards so the stop lands mid-batch on shard 0: reports
@@ -889,11 +935,7 @@ TEST(TrySubmitBatch, QueueFullStopsAtCleanPrefixAcrossShards) {
     EXPECT_EQ(bc.rejected, lc.rejected);
     EXPECT_EQ(bc.shards[0].rejected, 1u);
 
-    {
-      std::lock_guard<std::mutex> lock(blocker_mutex);
-      release.store(true);
-    }
-    blocker_cv.notify_one();
+    pool.release();
     batch_engine.drain();
     loop_engine.drain();
     EXPECT_EQ(batch_engine.counters().applied, 4u);
@@ -901,7 +943,6 @@ TEST(TrySubmitBatch, QueueFullStopsAtCleanPrefixAcrossShards) {
     batch_engine.stop();
     loop_engine.stop();
   }
-  ThreadPool::set_global_concurrency(ThreadPool::configured_concurrency());
 }
 
 }  // namespace

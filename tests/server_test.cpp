@@ -7,16 +7,19 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -32,6 +35,7 @@
 #include "server/report_decode.h"
 #include "server/server.h"
 #include "server/snapshot_cache.h"
+#include "parked_pool.h"
 
 // --- Counting allocation probe ---------------------------------------------
 // Same idiom as workspace_test.cpp: replace this binary's global operator
@@ -479,13 +483,14 @@ TEST(Handlers, DrainRouteRecognitionAndBarrier) {
                      make_request("POST", "/v1/campaigns/0/reports",
                                   R"([{"account":0,"task":0,"value":5.0},)"
                                   R"({"account":1,"task":1,"value":3.0}])"));
-  const HandlerResponse drained = handle_drain(engine, 0);
+  engine.drain();
+  const HandlerResponse drained = drain_response(engine, 0);
   EXPECT_EQ(drained.status, 200);
   JsonValue doc;
   ASSERT_TRUE(json_parse(drained.body, doc));
   EXPECT_DOUBLE_EQ(doc.find("applied_reports")->number, 2.0);
   EXPECT_TRUE(doc.find("converged")->boolean);
-  EXPECT_EQ(handle_drain(engine, 9).status, 404);
+  EXPECT_EQ(drain_response(engine, 9).status, 404);
   engine.stop();
 }
 
@@ -847,7 +852,7 @@ TEST(CampaignServer, LiveCampaignCreationOverTheWire) {
 
 // --- Multi-loop end-to-end ---------------------------------------------------
 
-// Scoped environment override (SYBILTD_SERVER_ACCEPT / SYBILTD_SERVER_LOOPS).
+// Scoped environment override (SYBILTD_SERVER_LOOPS).
 struct EnvGuard {
   EnvGuard(const char* name, const char* value) : name_(name) {
     const char* old = std::getenv(name);
@@ -910,6 +915,36 @@ std::string ingest_request(std::size_t campaign, const std::string& body) {
          std::to_string(body.size()) + "\r\n\r\n" + body;
 }
 
+// Open keep-alive connections until every loop owns at least one.  The
+// kernel picks each connection's listener (SO_REUSEPORT), so the test does
+// not choose placement; it only checks that all loops were reached.  Each
+// connection's /healthz round trip means its loop has adopted it before
+// the per-loop gauges are read.
+std::vector<int> connect_to_every_loop(const CampaignServer& server) {
+  constexpr std::size_t kMaxConnections = 256;
+  auto& active = obs::MetricsRegistry::global().gauge_family(
+      "server.loop.connections_active", "loop");
+  auto loops_reached = [&] {
+    std::size_t reached = 0;
+    for (std::size_t i = 0; i < server.loop_count(); ++i) {
+      if (active.at(std::to_string(i)).value() > 0.0) ++reached;
+    }
+    return reached;
+  };
+  std::vector<int> fds;
+  while (loops_reached() < server.loop_count()) {
+    if (fds.size() == kMaxConnections) {
+      ADD_FAILURE() << kMaxConnections << " connections reached only "
+                    << loops_reached() << " of " << server.loop_count()
+                    << " loops";
+      break;
+    }
+    fds.push_back(connect_loopback(server.port()));
+    EXPECT_EQ(round_trip(fds.back(), "GET", "/healthz").status, 200);
+  }
+  return fds;
+}
+
 TEST(MultiLoopServer, FourLoopsServeManyConnections) {
   ServerOptions options;
   options.port = 0;
@@ -936,12 +971,13 @@ TEST(MultiLoopServer, FourLoopsServeManyConnections) {
   EXPECT_EQ(counters.applied, 8u);
 }
 
-TEST(MultiLoopServer, SharedAcceptorRoundRobinsAcrossLoops) {
-  EnvGuard accept_mode("SYBILTD_SERVER_ACCEPT", "shared");
+TEST(MultiLoopServer, ConnectionsReachEveryLoop) {
   auto& loop_requests = obs::MetricsRegistry::global().counter_family(
       "server.loop.requests", "loop");
-  const std::uint64_t loop1_before = loop_requests.at("1").value();
-  const std::uint64_t loop2_before = loop_requests.at("2").value();
+  std::vector<std::uint64_t> before;
+  for (int i = 0; i < 3; ++i) {
+    before.push_back(loop_requests.at(std::to_string(i)).value());
+  }
 
   ServerOptions options;
   options.port = 0;
@@ -951,34 +987,33 @@ TEST(MultiLoopServer, SharedAcceptorRoundRobinsAcrossLoops) {
   server.start();
   EXPECT_EQ(server.loop_count(), 3u);
 
-  // Round-robin hand-off: connection i lands on loop i % 3, so every loop
-  // owns two of these six connections and serves their requests.
-  std::vector<int> fds;
-  for (int i = 0; i < 6; ++i) fds.push_back(connect_loopback(server.port()));
+  // Every loop accepts on its own listener and serves what it accepted.
+  std::vector<int> fds = connect_to_every_loop(server);
   for (int fd : fds) {
     EXPECT_EQ(round_trip(fd, "GET", "/healthz").status, 200);
   }
   for (int fd : fds) ::close(fd);
   server.shutdown();
 
-  EXPECT_GT(loop_requests.at("1").value(), loop1_before);
-  EXPECT_GT(loop_requests.at("2").value(), loop2_before);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_GT(loop_requests.at(std::to_string(i)).value(), before[i])
+        << "loop " << i;
+  }
 }
 
 TEST(MultiLoopServer, LiveCampaignVisibleOnEveryLoop) {
-  // Shared-acceptor mode makes connection→loop placement deterministic, so
-  // this really does ingest on all four loops.
-  EnvGuard accept_mode("SYBILTD_SERVER_ACCEPT", "shared");
   ServerOptions options;
   options.port = 0;
   options.loops = 4;
   CampaignServer server(options);
   server.start();  // zero campaigns pre-registered
 
-  std::vector<int> fds;
-  for (int i = 0; i < 4; ++i) fds.push_back(connect_loopback(server.port()));
-  // Create the campaign through loop 0's connection; the registration must
-  // be visible to try_submit_batch on every other loop thread immediately.
+  // Connections on all four loops, so this really does ingest on each.
+  std::vector<int> fds = connect_to_every_loop(server);
+  ASSERT_GE(fds.size(), 4u);
+  // Create the campaign through one loop's connection; the registration
+  // must be visible to try_submit_batch on every other loop thread
+  // immediately.
   ASSERT_EQ(round_trip(fds[0], "POST", "/v1/campaigns", "{\"tasks\": 2}")
                 .status,
             201);
@@ -988,7 +1023,7 @@ TEST(MultiLoopServer, LiveCampaignVisibleOnEveryLoop) {
     EXPECT_EQ(
         round_trip(fds[i], "POST", "/v1/campaigns/0/reports", body).status,
         202)
-        << "loop " << i;
+        << "connection " << i;
   }
   ASSERT_EQ(round_trip(fds[1], "POST", "/v1/campaigns/0/drain").status, 200);
   const ClientResponse truths =
@@ -996,13 +1031,13 @@ TEST(MultiLoopServer, LiveCampaignVisibleOnEveryLoop) {
   ASSERT_EQ(truths.status, 200);
   JsonValue doc;
   ASSERT_TRUE(json_parse(truths.body, doc));
-  EXPECT_DOUBLE_EQ(doc.find("applied_reports")->number, 4.0);
+  EXPECT_DOUBLE_EQ(doc.find("applied_reports")->number,
+                   static_cast<double>(fds.size()));
   for (int fd : fds) ::close(fd);
   server.shutdown();
 }
 
 TEST(MultiLoopServer, KeepAlivePipeliningPerLoop) {
-  EnvGuard accept_mode("SYBILTD_SERVER_ACCEPT", "shared");
   ServerOptions options;
   options.port = 0;
   options.loops = 2;
@@ -1010,9 +1045,8 @@ TEST(MultiLoopServer, KeepAlivePipeliningPerLoop) {
   server.engine().add_campaign(2);
   server.start();
 
-  const int fd_a = connect_loopback(server.port());  // loop 0
-  const int fd_b = connect_loopback(server.port());  // loop 1
-  for (int fd : {fd_a, fd_b}) {
+  std::vector<int> fds = connect_to_every_loop(server);
+  for (int fd : fds) {
     std::string wire;
     for (int k = 0; k < 3; ++k) {
       wire += ingest_request(
@@ -1025,14 +1059,12 @@ TEST(MultiLoopServer, KeepAlivePipeliningPerLoop) {
       EXPECT_EQ(response.status, 202);
     }
   }
-  ::close(fd_a);
-  ::close(fd_b);
+  for (int fd : fds) ::close(fd);
   server.shutdown();
-  EXPECT_EQ(server.engine().counters().applied, 6u);
+  EXPECT_EQ(server.engine().counters().applied, 3 * fds.size());
 }
 
 TEST(MultiLoopServer, ShutdownBarrierFlushesInFlightWritesOnEveryLoop) {
-  EnvGuard accept_mode("SYBILTD_SERVER_ACCEPT", "shared");
   ServerOptions options;
   options.port = 0;
   options.loops = 4;
@@ -1040,12 +1072,11 @@ TEST(MultiLoopServer, ShutdownBarrierFlushesInFlightWritesOnEveryLoop) {
   server.engine().add_campaign(4);
   server.start();
 
-  // Two connections per loop, each with an ingest response in flight: the
+  // Connections on every loop, each with an ingest response in flight: the
   // request is written and at least one response byte exists server-side
   // (MSG_PEEK), but nothing has been read.  The SIGTERM-path shutdown must
   // flush every one of these before the loops exit.
-  std::vector<int> fds;
-  for (int i = 0; i < 8; ++i) fds.push_back(connect_loopback(server.port()));
+  std::vector<int> fds = connect_to_every_loop(server);
   for (std::size_t i = 0; i < fds.size(); ++i) {
     const std::string wire = ingest_request(
         0, "[{\"account\":" + std::to_string(i) +
@@ -1075,8 +1106,8 @@ TEST(MultiLoopServer, ShutdownBarrierFlushesInFlightWritesOnEveryLoop) {
     ::close(fd);
   }
   const auto counters = server.engine().counters();
-  EXPECT_EQ(counters.accepted, 8u);
-  EXPECT_EQ(counters.applied, 8u);
+  EXPECT_EQ(counters.accepted, fds.size());
+  EXPECT_EQ(counters.applied, fds.size());
   EXPECT_TRUE(server.engine().snapshot(0)->converged);
 }
 
@@ -1157,9 +1188,8 @@ TEST(MultiLoopServer, HttpIngestThenDrainMatchesBatchFrameworkAcrossLoops) {
   server.engine().add_campaign(kTasks);
   server.start();
 
-  // Four keep-alive connections (spread over the loops by SO_REUSEPORT or
-  // the shared acceptor — either way the result must match), batches dealt
-  // round-robin.
+  // Four keep-alive connections (spread over the loops by SO_REUSEPORT;
+  // wherever they land the result must match), batches dealt round-robin.
   std::vector<int> fds;
   for (int i = 0; i < 4; ++i) fds.push_back(connect_loopback(server.port()));
   constexpr std::size_t kBatch = 5;
@@ -1230,6 +1260,162 @@ TEST(CampaignServer, GracefulShutdownDrainsAcceptedReports) {
   EXPECT_EQ(counters.accepted, 2u);
   EXPECT_EQ(counters.applied, 2u);
   EXPECT_TRUE(server.engine().snapshot(0)->converged);
+}
+
+// A request that ends exactly on the loop's 16 KiB read size, then the
+// client's half-close: the read that fills the buffer and the EOF behind it
+// can land in one wakeup, and the request must still be answered and
+// applied before the connection closes.  Repeated because that timing is
+// the kernel's to pick.
+TEST(CampaignServer, HalfCloseOnReadBoundaryStillAnswers) {
+  constexpr std::size_t kRequestBytes = 16384;
+  constexpr std::size_t kRounds = 50;
+  ServerOptions options;
+  options.port = 0;
+  CampaignServer server(options);
+  server.engine().add_campaign(2);
+  server.start();
+
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    // Pad the JSON with whitespace until the whole request is exactly
+    // kRequestBytes (the Content-Length digits move with the padding).
+    const std::string report = "[{\"account\":" + std::to_string(round) +
+                               ",\"task\":0,\"value\":1.0}";
+    std::string wire;
+    std::size_t pad = 0;
+    while ((wire = ingest_request(0, report + std::string(pad, ' ') + "]"))
+               .size() != kRequestBytes) {
+      pad += kRequestBytes - wire.size();
+    }
+    const int fd = connect_loopback(server.port());
+    std::size_t off = 0;
+    while (off < wire.size()) {
+      const ssize_t n = ::write(fd, wire.data() + off, wire.size() - off);
+      ASSERT_GT(n, 0);
+      off += static_cast<std::size_t>(n);
+    }
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    std::string response;
+    char chunk[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+      response.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(response.compare(0, 12, "HTTP/1.1 202"), 0)
+        << "round " << round << " got \"" << response << "\"";
+  }
+  server.shutdown();
+  const auto counters = server.engine().counters();
+  EXPECT_EQ(counters.accepted, kRounds);
+  EXPECT_EQ(counters.applied, kRounds);
+}
+
+// Wait until the server has parsed `count` more requests than `before`.
+void await_requests(std::uint64_t before, std::uint64_t count) {
+  auto& requests = obs::MetricsRegistry::global().counter("server.requests");
+  for (int i = 0; i < 5000 && requests.value() < before + count; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(requests.value(), before + count);
+}
+
+// True when nothing arrives on `fd` within `ms` milliseconds.
+bool quiet_for(int fd, int ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, ms) == 0;
+}
+
+// The parked pool holds every drain pending, so a peer can reset its
+// connection while the drain is still parked on the loop.  The loop must
+// keep serving, and the abandoned drain's answer must reach nobody —
+// including a new connection that reuses the descriptor number.
+TEST(CampaignServer, PeerResetDuringParkedDrainLeavesLoopServing) {
+  ParkedPool pool;
+  ServerOptions options;
+  options.port = 0;
+  CampaignServer server(options);
+  server.engine().add_campaign(2);
+  server.start();
+
+  const int other = connect_loopback(server.port());
+  EXPECT_EQ(round_trip(other, "POST", "/v1/campaigns/0/reports",
+                       "{\"account\":0,\"task\":0,\"value\":1.0}")
+                .status,
+            202);
+  auto& requests = obs::MetricsRegistry::global().counter("server.requests");
+  const std::uint64_t before = requests.value();
+  const int drainer = connect_loopback(server.port());
+  const std::string drain =
+      "POST /v1/campaigns/0/drain HTTP/1.1\r\nHost: t\r\n\r\n";
+  EXPECT_EQ(::write(drainer, drain.data(), drain.size()),
+            static_cast<ssize_t>(drain.size()));
+  await_requests(before, 1);  // the drain is parked now
+  const linger reset{1, 0};   // close with RST instead of FIN
+  ::setsockopt(drainer, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  ::close(drainer);
+
+  const int fresh = connect_loopback(server.port());
+  EXPECT_EQ(round_trip(fresh, "GET", "/healthz").status, 200);
+  EXPECT_EQ(round_trip(other, "POST", "/v1/campaigns/0/reports",
+                       "{\"account\":1,\"task\":1,\"value\":2.0}")
+                .status,
+            202);
+  pool.release();
+  const ClientResponse drained =
+      round_trip(fresh, "POST", "/v1/campaigns/0/drain");
+  EXPECT_EQ(drained.status, 200);
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(drained.body, doc));
+  EXPECT_DOUBLE_EQ(doc.find("applied_reports")->number, 2.0);
+  EXPECT_TRUE(quiet_for(fresh, 50)) << "a stale drain answer arrived";
+  EXPECT_TRUE(quiet_for(other, 0));
+  ::close(fresh);
+  ::close(other);
+  server.shutdown();
+}
+
+// Requests pipelined behind a drain wait unanswered while it is parked,
+// then are answered in order after it: the ingest behind the first drain
+// is not covered by it, and is covered by the second.
+TEST(CampaignServer, RequestsPipelinedBehindDrainAnswerInOrderAfterIt) {
+  ParkedPool pool;
+  ServerOptions options;
+  options.port = 0;
+  CampaignServer server(options);
+  server.engine().add_campaign(2);
+  server.start();
+
+  const int fd = connect_loopback(server.port());
+  EXPECT_EQ(round_trip(fd, "POST", "/v1/campaigns/0/reports",
+                       "[{\"account\":0,\"task\":0,\"value\":1.0},"
+                       "{\"account\":1,\"task\":1,\"value\":2.0}]")
+                .status,
+            202);
+  const std::string drain =
+      "POST /v1/campaigns/0/drain HTTP/1.1\r\nHost: t\r\n\r\n";
+  const std::string wire =
+      drain +
+      ingest_request(0, "{\"account\":2,\"task\":0,\"value\":3.0}") +
+      drain;
+  EXPECT_EQ(::write(fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  EXPECT_TRUE(quiet_for(fd, 100)) << "answered before the drain completed";
+  pool.release();
+
+  const std::vector<ClientResponse> responses = pipelined(fd, "", 3);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].status, 200);
+  EXPECT_EQ(responses[1].status, 202);
+  EXPECT_EQ(responses[2].status, 200);
+  JsonValue first;
+  JsonValue second;
+  ASSERT_TRUE(json_parse(responses[0].body, first));
+  ASSERT_TRUE(json_parse(responses[2].body, second));
+  EXPECT_DOUBLE_EQ(first.find("applied_reports")->number, 2.0);
+  EXPECT_DOUBLE_EQ(second.find("applied_reports")->number, 3.0);
+  ::close(fd);
+  server.shutdown();
 }
 
 // --- Fast decode: zero-allocation proof -------------------------------------
