@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "obs/metrics.h"
 #include "pipeline/engine.h"
 #include "pipeline/report_queue.h"
+#include "pipeline/status_json.h"
 #include "parked_pool.h"
 
 namespace sybiltd::pipeline {
@@ -943,6 +946,64 @@ TEST(TrySubmitBatch, QueueFullStopsAtCleanPrefixAcrossShards) {
     batch_engine.stop();
     loop_engine.stop();
   }
+}
+
+
+// --- Snapshot rendering: golden bytes ---------------------------------------
+
+// One snapshot whose doubles cover the %.17g corner cases: a value with no
+// short exact form, negative zero, small and large exponents, the integer
+// just above 2^53 precision, the extremes and a NaN truth (rendered null).
+CampaignSnapshot golden_snapshot() {
+  CampaignSnapshot snapshot;
+  snapshot.campaign = 3;
+  snapshot.version = 17;
+  snapshot.truths = {0.1,
+                     -0.0,
+                     1e-7,
+                     1e21,
+                     123456789012345680.0,
+                     DBL_MAX,
+                     std::numeric_limits<double>::denorm_min(),
+                     std::numeric_limits<double>::quiet_NaN(),
+                     -72.5,
+                     1.0 / 3.0};
+  snapshot.group_weights = {2.0, 1e-300, -1.5e300};
+  snapshot.group_of = {0, 1, 2, 0, 1};
+  snapshot.group_count = 3;
+  snapshot.live_observations = 12;
+  snapshot.applied_reports = 40;
+  snapshot.iterations = 6;
+  snapshot.converged = true;
+  snapshot.final_residual = 4.9406564584124654e-324;
+  snapshot.weight_entropy = 1.0986122886681098;
+  return snapshot;
+}
+
+TEST(SnapshotRender, TruthsViewGoldenBytes) {
+  std::string out = "prefix:";
+  to_json_into(golden_snapshot(), out);
+  EXPECT_EQ(out,
+            "prefix:{\"campaign\": 3, \"version\": 17, \"truths\": "
+            "[0.10000000000000001, -0, 9.9999999999999995e-08, 1e+21, "
+            "1.2345678901234568e+17, 1.7976931348623157e+308, "
+            "4.9406564584124654e-324, null, -72.5, 0.33333333333333331], "
+            "\"group_weights\": [2, 1e-300, -1.5000000000000001e+300], "
+            "\"group_of\": [0, 1, 2, 0, 1], \"group_count\": 3, "
+            "\"live_observations\": 12, \"applied_reports\": 40, "
+            "\"iterations\": 6, \"converged\": true, "
+            "\"final_residual\": 4.9406564584124654e-324, "
+            "\"weight_entropy\": 1.0986122886681098}");
+  EXPECT_EQ(to_json(golden_snapshot()), out.substr(7));
+}
+
+TEST(SnapshotRender, GroupsViewGoldenBytes) {
+  std::string out;
+  groups_json_into(golden_snapshot(), out);
+  EXPECT_EQ(out,
+            "{\"campaign\": 3, \"version\": 17, \"group_count\": 3, "
+            "\"group_of\": [0, 1, 2, 0, 1], "
+            "\"group_weights\": [2, 1e-300, -1.5000000000000001e+300]}");
 }
 
 }  // namespace
