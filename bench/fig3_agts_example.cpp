@@ -74,7 +74,8 @@ int main() {
 
   const auto grouping = core::AgTs().group(input);
   std::printf("\nconnected components (our groups):\n");
-  for (const auto& group : grouping.groups()) {
+  for (std::size_t g = 0; g < grouping.group_count(); ++g) {
+    const auto group = grouping.group(g);
     std::printf("  {");
     for (std::size_t k = 0; k < group.size(); ++k) {
       std::printf("%s%s", k ? ", " : "", names[group[k]].c_str());

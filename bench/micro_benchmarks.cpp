@@ -366,6 +366,33 @@ void BM_GroupData(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupData)->Arg(2000)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
+// AccountGrouping::from_labels, the build every regroup and every batch
+// grouping method ends with.  The campaign_stream shape: 10% of the
+// accounts are Sybil accounts in groups of five, the rest singletons
+// (1,840 groups at 2,000 accounts, 9,200 at 10^4), labelled in
+// first-occurrence order as UnionFind::labels() returns them.
+// `allocs_per_op` is constant in the group count.
+void BM_GroupingFromLabels(benchmark::State& state) {
+  const auto accounts = static_cast<std::size_t>(state.range(0));
+  const std::size_t sybils = accounts / 10;
+  std::vector<std::size_t> labels(accounts);
+  for (std::size_t i = 0; i < accounts; ++i) {
+    labels[i] = i < sybils ? i / 5 : sybils / 5 + (i - sybils);
+  }
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  for (auto _ : state) {
+    const auto grouping = core::AccountGrouping::from_labels(labels);
+    benchmark::DoNotOptimize(grouping.group_count());
+  }
+  g_alloc_tracking.store(false, std::memory_order_relaxed);
+  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+}
+BENCHMARK(BM_GroupingFromLabels)
+    ->Arg(2000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_AgFp(benchmark::State& state) {
   const auto input = eval::to_framework_input(shared_scenario());
   for (auto _ : state) {

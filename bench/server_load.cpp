@@ -22,10 +22,17 @@
 //               request_p50_us / request_p99_us (client round-trip; p50_us /
 //               p99_us remain as aliases), publish_p50_us / publish_p99_us
 //               (end-to-end ingest->publish latency from the per-campaign
-//               registry histograms) and decode_fast / decode_fallback
-//               (which ingest codec served the run) — the shape
+//               registry histograms), decode_fast / decode_fallback
+//               (which ingest codec served the run) and loop_requests
+//               (requests each event loop served) — the shape
 //               compare_bench.py understands; committed as
 //               BENCH_server.json.
+//
+// Connections are opened before the timed window and spread evenly over
+// the event loops: the kernel hashes each connection to one loop's
+// SO_REUSEPORT listener, so a connection that lands on a loop already
+// holding its share is set aside and another one is opened.  Without that,
+// runs differ in how many loops do any work.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -153,13 +160,70 @@ std::vector<std::string> render_client_requests(std::size_t client,
   return out;
 }
 
-void run_client(std::uint16_t port, const std::vector<std::string>* requests,
-                std::size_t batch, ClientResult* result) {
-  const int fd = connect_loopback(port);
-  if (fd < 0) {
-    result->ok = false;
-    return;
+// One value per event loop of a per-loop registry family, by loop label.
+template <typename Family>
+std::vector<double> per_loop(Family& family, std::size_t loops) {
+  std::vector<double> out(loops);
+  for (std::size_t i = 0; i < loops; ++i) {
+    out[i] = static_cast<double>(family.at(std::to_string(i)).value());
   }
+  return out;
+}
+
+// Open `connections` keep-alive connections, at most
+// ceil(connections / loops) on any one event loop.  A connection's loop is
+// the one whose server.loop.connections_active gauge rose across its
+// /healthz round trip (the loop has adopted it by the time it answers).
+// A connection that landed on a full loop stays open until placement is
+// done, so the gauges only ever rise meanwhile, then it is closed.
+// Returns an empty vector when kMaxAttempts connections do not reach the
+// placement.
+std::vector<int> connect_balanced(std::uint16_t port, std::size_t connections,
+                                  std::size_t loops) {
+  constexpr std::size_t kMaxAttempts = 256;
+  obs::GaugeFamily& active =
+      obs::MetricsRegistry::global().gauge_family(
+          "server.loop.connections_active", "loop");
+  const std::size_t share = (connections + loops - 1) / loops;
+  std::vector<std::size_t> placed(loops, 0);
+  std::vector<int> fds;
+  std::vector<int> set_aside;
+  std::string buffer;
+  const std::string healthz = "GET /healthz HTTP/1.1\r\nHost: bench\r\n\r\n";
+  for (std::size_t attempt = 0;
+       fds.size() < connections && attempt < kMaxAttempts; ++attempt) {
+    const std::vector<double> before = per_loop(active, loops);
+    const int fd = connect_loopback(port);
+    if (fd < 0 || !write_all(fd, healthz) || !read_response(fd, buffer)) {
+      if (fd >= 0) ::close(fd);
+      break;
+    }
+    const std::vector<double> after = per_loop(active, loops);
+    std::size_t loop = loops;
+    for (std::size_t i = 0; i < loops; ++i) {
+      if (after[i] > before[i]) loop = i;
+    }
+    if (loop < loops && placed[loop] < share) {
+      ++placed[loop];
+      fds.push_back(fd);
+    } else {
+      set_aside.push_back(fd);
+    }
+  }
+  for (int fd : set_aside) ::close(fd);
+  if (fds.size() < connections) {
+    std::fprintf(stderr,
+                 "server_load: %zu connection attempts placed only %zu of "
+                 "%zu connections at most %zu per loop over %zu loops\n",
+                 kMaxAttempts, fds.size(), connections, share, loops);
+    for (int fd : fds) ::close(fd);
+    fds.clear();
+  }
+  return fds;
+}
+
+void run_client(int fd, const std::vector<std::string>* requests,
+                std::size_t batch, ClientResult* result) {
   std::string response_buffer;
   result->latencies_us.reserve(requests->size());
   for (const std::string& request : *requests) {
@@ -251,6 +315,9 @@ struct LoadResult {
   std::uint64_t engine_accepted = 0;
   std::uint64_t engine_applied = 0;
   std::uint64_t engine_batches = 0;
+  // server.loop.requests{loop} deltas across the timed window: how the
+  // requests spread over the event loops.
+  std::vector<double> loop_requests;
   bool ok = true;
 };
 
@@ -287,12 +354,26 @@ LoadResult run_load(const LoadConfig& config) {
     requests[c] = render_client_requests(c, per_client, config.batch);
   }
 
+  LoadResult out;
+  const std::vector<int> fds =
+      connect_balanced(server.port(), config.connections, server.loop_count());
+  if (fds.empty()) {
+    server.shutdown();
+    out.ok = false;
+    return out;
+  }
+  obs::CounterFamily& loop_requests =
+      obs::MetricsRegistry::global().counter_family("server.loop.requests",
+                                                    "loop");
+  const std::vector<double> requests_before =
+      per_loop(loop_requests, server.loop_count());
+
   std::vector<ClientResult> results(config.connections);
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < config.connections; ++c) {
-    clients.emplace_back(run_client, server.port(), &requests[c],
-                         config.batch, &results[c]);
+    clients.emplace_back(run_client, fds[c], &requests[c], config.batch,
+                         &results[c]);
   }
   for (auto& t : clients) t.join();
   const double ingest_seconds =
@@ -303,7 +384,10 @@ LoadResult run_load(const LoadConfig& config) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  LoadResult out;
+  out.loop_requests = per_loop(loop_requests, server.loop_count());
+  for (std::size_t i = 0; i < requests_before.size(); ++i) {
+    out.loop_requests[i] -= requests_before[i];
+  }
   out.ingest_seconds = ingest_seconds;
   out.drain_seconds = total_seconds - ingest_seconds;
   std::size_t bytes = 0;
@@ -367,8 +451,13 @@ void print_json_entry(const LoadConfig& config, const LoadResult& result,
   std::printf("      \"publish_p99_us\": %.1f,\n", result.publish_p99_us);
   std::printf("      \"decode_fast\": %llu,\n",
               static_cast<unsigned long long>(result.decode_fast));
-  std::printf("      \"decode_fallback\": %llu\n",
+  std::printf("      \"decode_fallback\": %llu,\n",
               static_cast<unsigned long long>(result.decode_fallback));
+  std::printf("      \"loop_requests\": [");
+  for (std::size_t i = 0; i < result.loop_requests.size(); ++i) {
+    std::printf("%s%.0f", i > 0 ? ", " : "", result.loop_requests[i]);
+  }
+  std::printf("]\n");
   std::printf("    }%s\n", last ? "" : ",");
 }
 
@@ -433,6 +522,11 @@ int main(int argc, char** argv) {
       std::printf("decode        fast=%llu fallback=%llu\n",
                   static_cast<unsigned long long>(result.decode_fast),
                   static_cast<unsigned long long>(result.decode_fallback));
+      std::printf("loop requests");
+      for (std::size_t i = 0; i < result.loop_requests.size(); ++i) {
+        std::printf(" %zu:%.0f", i, result.loop_requests[i]);
+      }
+      std::printf("\n");
       std::printf("engine        accepted=%llu applied=%llu batches=%llu\n\n",
                   static_cast<unsigned long long>(result.engine_accepted),
                   static_cast<unsigned long long>(result.engine_applied),

@@ -25,7 +25,8 @@ namespace {
 // one other account — some user appears to own several accounts.
 std::vector<bool> flagged_accounts(const core::AccountGrouping& grouping) {
   std::vector<bool> flagged(grouping.account_count(), false);
-  for (const auto& group : grouping.groups()) {
+  for (std::size_t g = 0; g < grouping.group_count(); ++g) {
+    const auto group = grouping.group(g);
     if (group.size() < 2) continue;
     for (std::size_t account : group) flagged[account] = true;
   }
@@ -62,7 +63,8 @@ int main(int argc, char** argv) {
   // --- AG-FP evidence -------------------------------------------------------
   const auto fp_grouping = core::AgFp().group(input);
   std::printf("AG-FP device-fingerprint clusters:\n");
-  for (const auto& group : fp_grouping.groups()) {
+  for (std::size_t g = 0; g < fp_grouping.group_count(); ++g) {
+    const auto group = fp_grouping.group(g);
     if (group.size() < 2) continue;
     std::printf("  cluster:");
     for (std::size_t i : group) {

@@ -73,7 +73,8 @@ int main() {
   const auto framework = core::run_framework(input, core::AgTr());
 
   std::printf("grouping found by AG-TR:\n");
-  for (const auto& group : framework.grouping.groups()) {
+  for (std::size_t g = 0; g < framework.grouping.group_count(); ++g) {
+    const auto group = framework.grouping.group(g);
     std::printf("  {");
     for (std::size_t k = 0; k < group.size(); ++k) {
       std::printf("%s%s", k ? ", " : "",

@@ -34,7 +34,8 @@ int analyze(const mcs::ScenarioData& data, const std::string& method) {
   std::printf("AG-TR grouping (%zu groups; multi-account groups are "
               "suspected Sybil users):\n",
               grouping.grouping.group_count());
-  for (const auto& group : grouping.grouping.groups()) {
+  for (std::size_t g = 0; g < grouping.grouping.group_count(); ++g) {
+    const auto group = grouping.grouping.group(g);
     if (group.size() < 2) continue;
     std::printf("  suspected:");
     for (std::size_t i : group) {

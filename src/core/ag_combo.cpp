@@ -30,7 +30,8 @@ AccountGrouping partition_join(const AccountGrouping& a,
   const std::size_t n = a.account_count();
   graph::UnionFind uf(n);
   for (const AccountGrouping* grouping : {&a, &b}) {
-    for (const auto& group : grouping->groups()) {
+    for (std::size_t g = 0; g < grouping->group_count(); ++g) {
+      const auto group = grouping->group(g);
       for (std::size_t k = 1; k < group.size(); ++k) {
         uf.unite(group[0], group[k]);
       }

@@ -14,32 +14,45 @@
 
 namespace sybiltd::core {
 
+// An AccountGrouping is one CSR table: group_of (per account), group_begin
+// (group_count() + 1 offsets) and members (accounts grouped by group,
+// ascending within each group).  Every build is a counting sort with a
+// constant number of allocations whatever the group count, and a copy is
+// three flat copies.
 class AccountGrouping {
  public:
   AccountGrouping() = default;
-  // Takes ownership of a partition; validates disjointness and coverage of
-  // exactly the range [0, account_count).
-  AccountGrouping(std::vector<std::vector<std::size_t>> groups,
+  // Builds from a list of groups; validates that they are non-empty,
+  // disjoint and cover exactly the range [0, account_count).  Keeps the
+  // given group order (AG-FP appends its fingerprint-less singletons last,
+  // and the CRH cell order follows group index); members are stored
+  // ascending.
+  AccountGrouping(const std::vector<std::vector<std::size_t>>& groups,
                   std::size_t account_count);
 
   static AccountGrouping singletons(std::size_t account_count);
+  // Accounts with equal labels share a group; groups are numbered in
+  // ascending label order, and labels with no account get no group.
   static AccountGrouping from_labels(std::span<const std::size_t> labels);
 
-  std::size_t group_count() const { return groups_.size(); }
-  std::size_t account_count() const { return account_count_; }
-  const std::vector<std::vector<std::size_t>>& groups() const {
-    return groups_;
+  std::size_t group_count() const {
+    return group_begin_.empty() ? 0 : group_begin_.size() - 1;
   }
-  const std::vector<std::size_t>& group(std::size_t k) const;
+  std::size_t account_count() const { return group_of_.size(); }
+  // Members of group k, ascending.
+  std::span<const std::size_t> group(std::size_t k) const;
   // Group index of an account.
   std::size_t group_of(std::size_t account) const;
   // Per-account group labels (group indices).
-  std::vector<std::size_t> labels() const;
+  std::vector<std::size_t> labels() const { return group_of_; }
 
  private:
-  std::vector<std::vector<std::size_t>> groups_;
+  // Fills group_begin_ and members_ from group_of_ by counting sort.
+  void index_members(std::size_t group_count);
+
   std::vector<std::size_t> group_of_;
-  std::size_t account_count_ = 0;
+  std::vector<std::size_t> group_begin_;
+  std::vector<std::size_t> members_;
 };
 
 // Interface of the three AG methods.

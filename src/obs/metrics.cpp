@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "obs/format.h"
+
 namespace sybiltd::obs {
 
 namespace detail {
@@ -442,10 +444,20 @@ std::string sanitize(const std::string& name) {
   return out;
 }
 
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+// The text format's spellings of the non-finite values (printf's "nan" and
+// "-nan" are not among them; Prometheus' parser rejects "-nan").
+std::string prometheus_double(double value) {
+  if (std::isnan(value)) return "NaN";
+  if (std::isinf(value)) return value > 0.0 ? "+Inf" : "-Inf";
+  std::string out;
+  append_g17(out, value);
+  return out;
+}
+
+std::string json_double(double value) {
+  std::string out;
+  append_json_number(out, value);
+  return out;
 }
 
 }  // namespace
@@ -546,7 +558,7 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
   for (const auto& g : snapshot.gauges) {
     const std::string name = sanitize(g.name);
     append_header(out, &last_name, name, g.help, "gauge");
-    out += name + label_set(g) + " " + format_double(g.value) + "\n";
+    out += name + label_set(g) + " " + prometheus_double(g.value) + "\n";
   }
   last_name.clear();
   for (const auto& h : snapshot.histograms) {
@@ -556,13 +568,13 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
     for (const auto& bucket : h.buckets) {
       cumulative += bucket.count;
       out += name + "_bucket" +
-             histogram_label_set(h, format_double(bucket.upper_edge)) + " " +
+             histogram_label_set(h, prometheus_double(bucket.upper_edge)) + " " +
              std::to_string(cumulative) + "\n";
     }
     out += name + "_bucket" + histogram_label_set(h, "+Inf") + " " +
            std::to_string(h.count) + "\n";
     out += name + "_sum" + histogram_label_set(h, {}) + " " +
-           format_double(h.sum) + "\n";
+           prometheus_double(h.sum) + "\n";
     out += name + "_count" + histogram_label_set(h, {}) + " " +
            std::to_string(h.count) + "\n";
   }
@@ -617,7 +629,7 @@ std::string to_json(const MetricsSnapshot& snapshot) {
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": \"" + escape_json(g.name) + "\"";
     append_json_labels(out, g);
-    out += ", \"value\": " + format_double(g.value) + "}";
+    out += ", \"value\": " + json_double(g.value) + "}";
   }
   out += "\n  ],\n  \"histograms\": [";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
@@ -626,10 +638,10 @@ std::string to_json(const MetricsSnapshot& snapshot) {
     out += "    {\"name\": \"" + escape_json(h.name) + "\"";
     append_json_labels(out, h);
     out += ", \"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + format_double(h.sum) + ", \"buckets\": [";
+           ", \"sum\": " + json_double(h.sum) + ", \"buckets\": [";
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       if (b > 0) out += ", ";
-      out += "{\"le\": " + format_double(h.buckets[b].upper_edge) +
+      out += "{\"le\": " + json_double(h.buckets[b].upper_edge) +
              ", \"count\": " + std::to_string(h.buckets[b].count) + "}";
     }
     out += "]}";

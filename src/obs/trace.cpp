@@ -6,6 +6,7 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/format.h"
 #include "obs/metrics.h"
 
 namespace sybiltd::obs {
@@ -116,6 +117,18 @@ std::size_t trace_event_count() {
   return trace_state.events.size();
 }
 
+namespace {
+
+// One span argument as `"key": value`.
+void append_arg(std::string& out, const char* key, double value) {
+  out += '"';
+  out += key;
+  out += "\": ";
+  append_json_number(out, value);
+}
+
+}  // namespace
+
 bool flush_trace() {
   detail::TraceState& trace_state = detail::state();
   std::lock_guard<std::mutex> lock(trace_state.mutex);
@@ -132,11 +145,14 @@ bool flush_trace() {
                  static_cast<unsigned long long>(e.start_us),
                  static_cast<unsigned long long>(e.duration_us));
     if (e.key1 != nullptr) {
-      std::fprintf(file, ", \"args\": {\"%s\": %.17g", e.key1, e.value1);
+      std::string args = ", \"args\": {";
+      append_arg(args, e.key1, e.value1);
       if (e.key2 != nullptr) {
-        std::fprintf(file, ", \"%s\": %.17g", e.key2, e.value2);
+        args += ", ";
+        append_arg(args, e.key2, e.value2);
       }
-      std::fputs("}", file);
+      args += '}';
+      std::fputs(args.c_str(), file);
     }
     std::fputs(i + 1 < trace_state.events.size() ? "},\n" : "}\n", file);
   }

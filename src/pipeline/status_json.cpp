@@ -1,11 +1,17 @@
 #include "pipeline/status_json.h"
 
-#include <cmath>
-#include <cstdio>
+#include <charconv>
+
+#include "obs/format.h"
 
 namespace sybiltd::pipeline {
 
 namespace {
+
+void append_uint(std::string& out, std::uint64_t value) {
+  char buffer[20];  // 2^64 - 1 has 20 digits
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
 
 void append_u64(std::string& out, const char* key, std::uint64_t value,
                 bool* first) {
@@ -14,19 +20,7 @@ void append_u64(std::string& out, const char* key, std::uint64_t value,
   out += '"';
   out += key;
   out += "\": ";
-  out += std::to_string(value);
-}
-
-// NaN/Inf have no JSON literal; render them as null (readers treat a null
-// truth as "no live data", matching the NaN convention in the structs).
-void append_double_value(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
+  append_uint(out, value);
 }
 
 void append_double(std::string& out, const char* key, double value,
@@ -36,7 +30,7 @@ void append_double(std::string& out, const char* key, double value,
   out += '"';
   out += key;
   out += "\": ";
-  append_double_value(out, value);
+  obs::append_json_number(out, value);
 }
 
 template <typename T, typename Append>
@@ -104,12 +98,13 @@ void to_json_into(const CampaignSnapshot& snapshot, std::string& out) {
   bool first = true;
   append_u64(out, "campaign", snapshot.campaign, &first);
   append_u64(out, "version", snapshot.version, &first);
+  // A NaN truth (no live data) renders as null.
   append_array(out, "truths", snapshot.truths, &first,
-               [](std::string& o, double v) { append_double_value(o, v); });
+               [](std::string& o, double v) { obs::append_json_number(o, v); });
   append_array(out, "group_weights", snapshot.group_weights, &first,
-               [](std::string& o, double v) { append_double_value(o, v); });
+               [](std::string& o, double v) { obs::append_json_number(o, v); });
   append_array(out, "group_of", snapshot.group_of, &first,
-               [](std::string& o, std::size_t v) { o += std::to_string(v); });
+               [](std::string& o, std::size_t v) { append_uint(o, v); });
   append_u64(out, "group_count", snapshot.group_count, &first);
   append_u64(out, "live_observations", snapshot.live_observations, &first);
   append_u64(out, "applied_reports", snapshot.applied_reports, &first);
@@ -125,20 +120,20 @@ void to_json_into(const CampaignSnapshot& snapshot, std::string& out) {
 
 void groups_json_into(const CampaignSnapshot& snapshot, std::string& out) {
   out += "{\"campaign\": ";
-  out += std::to_string(snapshot.campaign);
+  append_uint(out, snapshot.campaign);
   out += ", \"version\": ";
-  out += std::to_string(snapshot.version);
+  append_uint(out, snapshot.version);
   out += ", \"group_count\": ";
-  out += std::to_string(snapshot.group_count);
+  append_uint(out, snapshot.group_count);
   out += ", \"group_of\": [";
   for (std::size_t i = 0; i < snapshot.group_of.size(); ++i) {
     if (i > 0) out += ", ";
-    out += std::to_string(snapshot.group_of[i]);
+    append_uint(out, snapshot.group_of[i]);
   }
   out += "], \"group_weights\": [";
   for (std::size_t i = 0; i < snapshot.group_weights.size(); ++i) {
     if (i > 0) out += ", ";
-    append_double_value(out, snapshot.group_weights[i]);
+    obs::append_json_number(out, snapshot.group_weights[i]);
   }
   out += "]}";
 }

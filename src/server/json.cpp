@@ -324,14 +324,4 @@ void json_append_string(std::string& out, std::string_view s) {
   out += '"';
 }
 
-void json_append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
-
 }  // namespace sybiltd::server

@@ -54,7 +54,4 @@ bool json_parse(std::string_view text, JsonValue& out,
 // Append `s` as a quoted JSON string with all required escapes.
 void json_append_string(std::string& out, std::string_view s);
 
-// Append a number; NaN/Inf have no JSON literal and render as null.
-void json_append_number(std::string& out, double value);
-
 }  // namespace sybiltd::server

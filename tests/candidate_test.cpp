@@ -250,11 +250,10 @@ TEST(AgTrCandidates, GroupingBitIdenticalToExactAllPairs) {
     core::AgTrStats stats;
     const auto exact = oracle::agtr_all_pairs(input);
     const auto cand = core::AgTr().group_with_stats(input, &stats);
-    // Bit-identical, not merely equivalent: same groups, same member
-    // order, same labels (components are read off a union-find, so they
-    // do not depend on the order the edges arrive in).
+    // Bit-identical, not merely equivalent: same labels, hence the same
+    // groups with the same (ascending) members (components are read off a
+    // union-find, so they do not depend on the order the edges arrive in).
     EXPECT_EQ(exact.labels(), cand.labels()) << "seed " << seed;
-    EXPECT_EQ(exact.groups(), cand.groups()) << "seed " << seed;
     EXPECT_EQ(stats.blocked + stats.candidates, stats.pairs);
     EXPECT_GT(stats.blocked, 0u) << "blocking should drop some pairs";
   }
@@ -287,8 +286,6 @@ TEST(AgTrCandidates, RandomTrajectoriesNearPhiMatchAllPairs) {
       const auto grouping = core::AgTr(opt).group(input);
       EXPECT_EQ(exact.labels(), grouping.labels())
           << "trial " << trial << " band " << band;
-      EXPECT_EQ(exact.groups(), grouping.groups())
-          << "trial " << trial << " band " << band;
       // Neither one giant component nor all singletons.
       EXPECT_GT(exact.group_count(), 10u);
       EXPECT_LT(exact.group_count(), 70u);
@@ -308,7 +305,6 @@ TEST(AgTrCandidates, PathNormalizedModeMatchesAllPairs) {
     const auto grouping = core::AgTr(opt).group_with_stats(input, &stats);
     const auto exact = oracle::agtr_all_pairs(input, opt);
     EXPECT_EQ(exact.labels(), grouping.labels()) << "seed " << seed;
-    EXPECT_EQ(exact.groups(), grouping.groups()) << "seed " << seed;
     EXPECT_EQ(stats.blocked, 0u);
     EXPECT_EQ(stats.lb_pruned, 0u);
     EXPECT_LT(exact.group_count(), input.accounts.size());
@@ -367,8 +363,6 @@ TEST(AgTrCandidates, ExtremeTimestampsMatchAllPairs) {
       const auto exact = oracle::agtr_all_pairs(input, opt);
       const auto grouping = core::AgTr(opt).group(input);
       EXPECT_EQ(exact.labels(), grouping.labels())
-          << "phi " << phi << " band " << band;
-      EXPECT_EQ(exact.groups(), grouping.groups())
           << "phi " << phi << " band " << band;
       // The finite twins and the +-1e300 twins are edges.
       EXPECT_EQ(grouping.group_of(0), grouping.group_of(1));

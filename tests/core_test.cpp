@@ -3,9 +3,13 @@
 // and the full framework (Algorithm 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <set>
 
 #include "common/rng.h"
@@ -18,6 +22,28 @@
 #include "eval/paper_example.h"
 #include "grouping_oracles.h"
 #include "mcs/scenario.h"
+
+// --- Counting allocation probe ---------------------------------------------
+// Global operator new forwarding to malloc with an opt-in counter, as in
+// tests/workspace_test.cpp.
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<bool> g_alloc_tracking{false};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_alloc_tracking.load(std::memory_order_relaxed)) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sybiltd::core {
 namespace {
@@ -70,6 +96,107 @@ TEST(AccountGrouping, FromLabelsSkipsGaps) {
   const std::vector<std::size_t> labels{5, 0, 5};
   const auto g = AccountGrouping::from_labels(labels);
   EXPECT_EQ(g.group_count(), 2u);
+}
+
+// Heap allocations `body` performs (a plain lambda: std::function would
+// allocate).
+template <typename Fn>
+std::uint64_t count_allocations(Fn&& body) {
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  body();
+  g_alloc_tracking.store(false, std::memory_order_relaxed);
+  return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+TEST(AccountGrouping, BuildAndCopyAllocateAConstantNumberOfTimes) {
+  // 20,000 accounts in 10 groups and in 10,000 groups: a build is a
+  // counting sort over flat arrays and a copy is three flat copies, so
+  // neither depends on the group count.
+  constexpr std::size_t kAccounts = 20000;
+  std::vector<std::uint64_t> build_allocs;
+  for (std::size_t groups : {10u, 10000u}) {
+    std::vector<std::size_t> labels(kAccounts);
+    for (std::size_t i = 0; i < kAccounts; ++i) {
+      labels[i] = (i * 7919) % groups;
+    }
+    AccountGrouping grouping;
+    build_allocs.push_back(count_allocations(
+        [&] { grouping = AccountGrouping::from_labels(labels); }));
+    ASSERT_EQ(grouping.group_count(), groups);
+    AccountGrouping copy;
+    EXPECT_EQ(count_allocations([&] { copy = grouping; }), 3u)
+        << groups << " groups";
+    EXPECT_EQ(copy.labels(), grouping.labels());
+  }
+  EXPECT_EQ(build_allocs[0], build_allocs[1]);
+  EXPECT_LE(build_allocs[0], 4u);
+}
+
+TEST(AccountGrouping, GroupSpansAreAscendingAndCoverEveryAccountOnce) {
+  Rng rng(5);
+  for (std::size_t label_range : {1u, 7u, 300u, 5000u}) {
+    std::vector<std::size_t> labels(2000);
+    for (auto& lab : labels) {
+      lab = rng.uniform_index(label_range);
+    }
+    const auto grouping = AccountGrouping::from_labels(labels);
+    std::vector<int> seen(labels.size(), 0);
+    std::size_t previous_first = 0;
+    for (std::size_t k = 0; k < grouping.group_count(); ++k) {
+      const auto members = grouping.group(k);
+      ASSERT_FALSE(members.empty());
+      EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
+      EXPECT_EQ(std::adjacent_find(members.begin(), members.end()),
+                members.end());
+      for (std::size_t account : members) {
+        EXPECT_EQ(grouping.group_of(account), k);
+        EXPECT_EQ(labels[account], labels[members[0]]);
+        ++seen[account];
+      }
+      // Groups follow ascending label order.
+      if (k > 0) {
+        EXPECT_LT(labels[previous_first], labels[members[0]]);
+      }
+      previous_first = members[0];
+    }
+    EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                            [](int n) { return n == 1; }));
+  }
+  EXPECT_THROW(AccountGrouping::singletons(3).group(3), std::invalid_argument);
+}
+
+TEST(AccountGrouping, GroupsConstructorKeepsGroupOrder) {
+  // The given group order is the group index; members come out ascending.
+  const AccountGrouping g({{3, 1}, {0}, {4, 2}}, 5);
+  EXPECT_EQ(g.labels(), (std::vector<std::size_t>{1, 0, 2, 0, 2}));
+  EXPECT_EQ(std::vector<std::size_t>(g.group(0).begin(), g.group(0).end()),
+            (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(std::vector<std::size_t>(g.group(2).begin(), g.group(2).end()),
+            (std::vector<std::size_t>{2, 4}));
+}
+
+TEST(AgFp, FingerprintlessSingletonsComeLast) {
+  // AG-FP lists its clusters first and appends one singleton per account
+  // without a fingerprint, in account order.  Renumbering groups by their
+  // smallest member would put account 1's singleton second.
+  FrameworkInput input;
+  input.task_count = 1;
+  for (const double fp : {0.0, -1.0, 0.01, -1.0, 50.0, 50.01}) {
+    AccountTrace trace;
+    if (fp >= 0.0) trace.fingerprint = {fp, fp};
+    input.accounts.push_back(std::move(trace));
+  }
+  AgFpOptions opt;
+  opt.fixed_k = 2;
+  const auto grouping = AgFp(opt).group(input);
+  ASSERT_EQ(grouping.group_count(), 4u);
+  EXPECT_EQ(grouping.group_of(0), grouping.group_of(2));
+  EXPECT_EQ(grouping.group_of(4), grouping.group_of(5));
+  EXPECT_LT(grouping.group_of(0), 2u);
+  EXPECT_LT(grouping.group_of(4), 2u);
+  EXPECT_EQ(grouping.group_of(1), 2u);
+  EXPECT_EQ(grouping.group_of(3), 3u);
 }
 
 // --- AG-TS ----------------------------------------------------------------

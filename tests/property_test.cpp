@@ -60,7 +60,9 @@ TEST_P(FrameworkProperties, GroupingsArePartitions) {
     const auto labels = grouping.labels();
     ASSERT_EQ(labels.size(), data.accounts.size());
     std::size_t total = 0;
-    for (const auto& group : grouping.groups()) total += group.size();
+    for (std::size_t g = 0; g < grouping.group_count(); ++g) {
+      total += grouping.group(g).size();
+    }
     EXPECT_EQ(total, data.accounts.size());
   }
 }

@@ -17,11 +17,16 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <new>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/format.h"
 #include "obs/metrics.h"
 
 #include "common/rng.h"
@@ -311,8 +316,60 @@ TEST(Json, WriterEscapesAndHandlesNonFinite) {
   json_append_string(out, "a\"b\\c\nd\x01");
   EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
   out.clear();
-  json_append_number(out, std::nan(""));
+  obs::append_json_number(out, std::nan(""));
   EXPECT_EQ(out, "null");
+}
+
+// --- Metrics exposition with non-finite values ------------------------------
+
+// A gauge holding NaN, +inf or -inf and a histogram whose sum is NaN must
+// still render parseable output: the text format's NaN/+Inf/-Inf spellings
+// (its parser rejects printf's "-nan") and null in the JSON view.
+TEST(MetricsExposition, NonFiniteValuesStayParseable) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  obs::MetricsRegistry registry;
+  registry.gauge("nonfinite.nan").set(std::nan(""));
+  registry.gauge("nonfinite.neg_nan").set(-std::nan(""));
+  registry.gauge("nonfinite.pos_inf").set(kInf);
+  registry.gauge("nonfinite.neg_inf").set(-kInf);
+  registry.histogram("nonfinite.hist").record(std::nan(""));
+  const obs::MetricsSnapshot snap = registry.snapshot();
+
+  // Prometheus: every sample line's value is a float the format allows.
+  const std::regex sample(
+      R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? )"
+      R"((NaN|[+-]Inf|[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?)$)");
+  std::map<std::string, std::string> values;
+  std::istringstream text(obs::to_prometheus(snap));
+  for (std::string line; std::getline(text, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    EXPECT_TRUE(std::regex_match(line, sample)) << line;
+    const std::size_t space = line.rfind(' ');
+    values[line.substr(0, space)] = line.substr(space + 1);
+  }
+  EXPECT_EQ(values["nonfinite_nan"], "NaN");
+  EXPECT_EQ(values["nonfinite_neg_nan"], "NaN");
+  EXPECT_EQ(values["nonfinite_pos_inf"], "+Inf");
+  EXPECT_EQ(values["nonfinite_neg_inf"], "-Inf");
+  EXPECT_EQ(values["nonfinite_hist_sum"], "NaN");
+  EXPECT_EQ(values["nonfinite_hist_count"], "1");
+
+  // JSON: the document parses, and each non-finite value is null.
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(obs::to_json(snap), doc, &error)) << error;
+  std::size_t null_gauges = 0;
+  for (const JsonValue& gauge : doc.find("gauges")->array) {
+    if (gauge.find("name")->string.starts_with("nonfinite.")) {
+      EXPECT_TRUE(gauge.find("value")->is_null());
+      ++null_gauges;
+    }
+  }
+  EXPECT_EQ(null_gauges, 4u);
+  const JsonValue& hist = doc.find("histograms")->array.at(0);
+  EXPECT_EQ(hist.find("name")->string, "nonfinite.hist");
+  EXPECT_TRUE(hist.find("sum")->is_null());
+  EXPECT_EQ(hist.find("count")->number, 1.0);
 }
 
 // --- Handlers (no socket) ---------------------------------------------------
