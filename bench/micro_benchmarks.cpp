@@ -7,7 +7,9 @@
 // committed BENCH_baseline.json with bench/compare_bench.py.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -34,6 +36,7 @@
 #include "ml/pca.h"
 #include "obs/metrics.h"
 #include "pipeline/engine.h"
+#include "pipeline/shard.h"
 #include "pipeline/status_json.h"
 #include "sensing/fingerprint.h"
 #include "server/report_decode.h"
@@ -325,9 +328,10 @@ BENCHMARK(BM_CrhIterate);
 // Eqs. (3)-(4) alone.  Arg 2000: the campaign_stream shape — 2,000
 // accounts over 64 tasks, about seven tasks each, 10% of them Sybil
 // accounts in groups of five sharing one schedule.  Arg 10000: 10^4
-// singleton accounts at the same density.  `allocs_per_op` is the heap
-// allocations per call once the workspace pool is warm; the CI perf-smoke
-// job holds it under a constant that does not depend on size.
+// singleton accounts at the same density.  Each call writes into one
+// reused table, the form the streaming shard calls.
+// `allocs_per_op` is the heap allocations per call once the workspace pool
+// and the table are warm; the CI perf-smoke job holds it at 0.
 void BM_GroupData(benchmark::State& state) {
   constexpr std::size_t kTasks = 64;
   constexpr double kDensity = 0.11;
@@ -354,17 +358,107 @@ void BM_GroupData(benchmark::State& state) {
     labels[i] = i < sybils ? i / 5 : sybils / 5 + (i - sybils);
   }
   const auto grouping = core::AccountGrouping::from_labels(labels);
-  benchmark::DoNotOptimize(core::group_data(input, grouping));  // warm pool
+  std::vector<core::GroupingReport> flat;
+  for (std::size_t i = 0; i < accounts; ++i) {
+    for (const auto& r : input.accounts[i].reports) {
+      flat.push_back({static_cast<std::uint32_t>(i),
+                      static_cast<std::uint32_t>(r.task), r.value});
+    }
+  }
+  core::GroupedData grouped;
+  core::group_data(kTasks, flat, grouping, {}, grouped);  // warm pool, table
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_alloc_tracking.store(true, std::memory_order_relaxed);
   for (auto _ : state) {
-    const core::GroupedData grouped = core::group_data(input, grouping);
+    core::group_data(kTasks, flat, grouping, {}, grouped);
     benchmark::DoNotOptimize(grouped.value.data());
   }
   g_alloc_tracking.store(false, std::memory_order_relaxed);
   attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
 }
 BENCHMARK(BM_GroupData)->Arg(2000)->Arg(10000)->Unit(benchmark::kMicrosecond);
+
+// One warm refine of a streaming campaign on the campaign_stream shape:
+// 2,000 accounts over 64 tasks with schedules of 4-12 tasks, 10% of them
+// Sybil accounts in groups of five replaying one schedule, rho = 0, and a
+// decay horizon of 0.9 of a round, so each 256-report batch adds about
+// 256 memberships and evicts about 256.  Per iteration one batch is
+// applied, evicted and regrouped outside the timer; the timer covers
+// refine_and_publish(false) (the grouped-table update, normalizers, two
+// warm CRH iterations and the snapshot publish), after one untimed round.
+// `allocs_per_op` counts the heap allocations inside the timer.
+void BM_WarmRefine(benchmark::State& state) {
+  constexpr std::size_t kTasks = 64;
+  constexpr std::size_t kBatch = 256;
+  const auto accounts = static_cast<std::size_t>(state.range(0));
+  const std::size_t sybils = accounts / 10;
+  Rng rng(21);
+  // (timestamp, account, task) of one round, in timestamp order.
+  struct Arrival {
+    double hours;
+    std::size_t account;
+    std::size_t task;
+  };
+  std::vector<Arrival> round;
+  std::vector<std::size_t> tasks;
+  for (std::size_t a = 0; a < accounts; ++a) {
+    const bool clone = a >= accounts - sybils && (a - (accounts - sybils)) % 5 != 0;
+    if (!clone) {
+      tasks.clear();
+      const std::size_t len = 4 + rng.uniform_index(9);
+      while (tasks.size() < len) {
+        const std::size_t t = rng.uniform_index(kTasks);
+        if (std::find(tasks.begin(), tasks.end(), t) == tasks.end()) {
+          tasks.push_back(t);
+        }
+      }
+    }
+    double hours = rng.uniform(0.0, 2.0);
+    for (const std::size_t t : tasks) {
+      round.push_back({hours, a, t});
+      hours += rng.uniform(0.05, 0.3);
+    }
+  }
+  std::sort(round.begin(), round.end(),
+            [](const Arrival& x, const Arrival& y) { return x.hours < y.hours; });
+  pipeline::ShardOptions options;
+  options.rho = 0.0;
+  options.decay = std::exp(std::log(options.influence_floor) /
+                           (0.9 * static_cast<double>(round.size())));
+  pipeline::SnapshotCell cell;
+  pipeline::ShardCounters counters;
+  pipeline::CampaignState campaign(0, kTasks, &options, &cell, &counters);
+  std::size_t next = 0;
+  const auto apply_batch = [&] {
+    for (std::size_t r = 0; r < kBatch; ++r, ++next) {
+      const Arrival& arrival = round[next % round.size()];
+      const bool sybil = arrival.account >= accounts - sybils;
+      const double value = sybil ? -50.0 + rng.uniform(-0.5, 0.5)
+                                 : -60.0 + rng.uniform(-4.0, 4.0);
+      campaign.apply({0, arrival.account, arrival.task, value, 0.0});
+    }
+    campaign.evict_stale();
+    benchmark::DoNotOptimize(campaign.grouping().group_count());
+  };
+  while (next < round.size()) {
+    apply_batch();
+    campaign.refine_and_publish(false);
+  }
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  for (auto _ : state) {
+    state.PauseTiming();
+    apply_batch();
+    g_alloc_tracking.store(true, std::memory_order_relaxed);
+    state.ResumeTiming();
+    campaign.refine_and_publish(false);
+    state.PauseTiming();
+    g_alloc_tracking.store(false, std::memory_order_relaxed);
+    state.ResumeTiming();
+  }
+  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+  state.counters["live"] = static_cast<double>(campaign.live_observations());
+}
+BENCHMARK(BM_WarmRefine)->Arg(2000)->Unit(benchmark::kMicrosecond);
 
 // AccountGrouping::from_labels, the build every regroup and every batch
 // grouping method ends with.  The campaign_stream shape: 10% of the

@@ -105,15 +105,17 @@ struct MeanM2 {
   double mean = 0.0;
   double m2 = 0.0;
 };
+// Adds x as the (i + 1)-th sample.
+void add_mean_m2(MeanM2& acc, double x, std::size_t i) {
+  const double n1 = static_cast<double>(i);
+  const double delta = x - acc.mean;
+  const double delta_n = delta / static_cast<double>(i + 1);
+  acc.mean += delta_n;
+  acc.m2 += delta * delta_n * n1;
+}
 MeanM2 accumulate_mean_m2(std::span<const double> xs) {
   MeanM2 out;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double n1 = static_cast<double>(i);
-    const double delta = xs[i] - out.mean;
-    const double delta_n = delta / static_cast<double>(i + 1);
-    out.mean += delta_n;
-    out.m2 += delta * delta_n * n1;
-  }
+  for (std::size_t i = 0; i < xs.size(); ++i) add_mean_m2(out, xs[i], i);
   return out;
 }
 }  // namespace
@@ -131,6 +133,21 @@ double sample_variance(std::span<const double> xs) {
                        : 0.0;
 }
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
+void stddev8(const std::span<const double> (&xs)[8], double (&out)[8]) {
+  MeanM2 acc[8];
+  std::size_t common = xs[0].size();
+  for (int l = 1; l < 8; ++l) common = std::min(common, xs[l].size());
+  for (std::size_t i = 0; i < common; ++i) {
+    for (int l = 0; l < 8; ++l) add_mean_m2(acc[l], xs[l][i], i);
+  }
+  for (int l = 0; l < 8; ++l) {
+    for (std::size_t i = common; i < xs[l].size(); ++i) {
+      add_mean_m2(acc[l], xs[l][i], i);
+    }
+    out[l] = std::sqrt(
+        xs[l].empty() ? 0.0 : acc[l].m2 / static_cast<double>(xs[l].size()));
+  }
+}
 double skewness(std::span<const double> xs) {
   return accumulate(xs).skewness();
 }

@@ -43,6 +43,10 @@ double mean(std::span<const double> xs);
 double variance(std::span<const double> xs);          // population
 double sample_variance(std::span<const double> xs);   // n-1 denominator
 double stddev(std::span<const double> xs);            // population
+// Eight population standard deviations at once: out[l] equals
+// stddev(xs[l]) to the bit.  The eight accumulations are independent, so
+// one loop over them overlaps their division chains.
+void stddev8(const std::span<const double> (&xs)[8], double (&out)[8]);
 double skewness(std::span<const double> xs);
 double excess_kurtosis(std::span<const double> xs);
 double root_mean_square(std::span<const double> xs);

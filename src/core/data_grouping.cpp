@@ -101,10 +101,9 @@ CellSortedReports sort_reports_by_cell(std::size_t task_count,
   return out;
 }
 
-GroupedData group_data(std::size_t task_count,
-                       std::span<const GroupingReport> reports,
-                       const AccountGrouping& grouping,
-                       const DataGroupingOptions& options) {
+void group_data(std::size_t task_count, std::span<const GroupingReport> reports,
+                const AccountGrouping& grouping,
+                const DataGroupingOptions& options, GroupedData& out) {
   const CellSortedReports sorted =
       sort_reports_by_cell(task_count, reports, grouping);
   const std::size_t* run_begin = sorted.task_begin.data();
@@ -118,7 +117,6 @@ GroupedData group_data(std::size_t task_count,
     }
   }
 
-  GroupedData out;
   out.task_begin.resize(task_count + 1);
   out.group.resize(cells);
   out.value.resize(cells);
@@ -139,17 +137,24 @@ GroupedData group_data(std::size_t task_count,
       out.value[c] = aggregate_group_values(
           std::span<const double>(sorted.value.data() + i, members), options);
       out.member_count[c] = static_cast<std::uint32_t>(members);
-      const double group_size =
-          options.size_from_task_participants
-              ? static_cast<double>(members)
-              : static_cast<double>(grouping.group(k).size());
-      const double w = 1.0 - group_size / submitters;  // Eq. (4)
-      out.initial_weight[c] = std::max(w, options.weight_floor);
+      out.initial_weight[c] = initial_cell_weight(
+          static_cast<double>(options.size_from_task_participants
+                                  ? members
+                                  : grouping.group(k).size()),
+          submitters, options);
       ++out.group_task_count[k];
       i = run_end;
     }
   }
   out.task_begin[task_count] = c;
+}
+
+GroupedData group_data(std::size_t task_count,
+                       std::span<const GroupingReport> reports,
+                       const AccountGrouping& grouping,
+                       const DataGroupingOptions& options) {
+  GroupedData out;
+  group_data(task_count, reports, grouping, options, out);
   return out;
 }
 

@@ -26,6 +26,7 @@
 // so a task covered by a single group still gets a defined initial truth.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -109,8 +110,23 @@ CellSortedReports sort_reports_by_cell(std::size_t task_count,
                                        std::span<const GroupingReport> reports,
                                        const AccountGrouping& grouping);
 
+// Eq. (4) initial weight of a cell: 1 - |g_k| / |U_j|, floored at
+// options.weight_floor, where `group_size` is |g_k| in the configured size
+// mode and `submitters` is |U_j| (the reports on task j).
+inline double initial_cell_weight(double group_size, double submitters,
+                                  const DataGroupingOptions& options) {
+  return std::max(1.0 - group_size / submitters, options.weight_floor);
+}
+
 // Build the grouped view of the reports under a grouping (Algorithm 2,
-// lines 2–6).  Each cell's values are aggregated in input order.
+// lines 2–6) into `out`.  Each cell's values are aggregated in input order.
+// Every array of `out` is resized in place, so a table reused across calls
+// keeps its capacity and a warm call makes no heap allocation.
+void group_data(std::size_t task_count, std::span<const GroupingReport> reports,
+                const AccountGrouping& grouping,
+                const DataGroupingOptions& options, GroupedData& out);
+
+// The same into a fresh table.
 GroupedData group_data(std::size_t task_count,
                        std::span<const GroupingReport> reports,
                        const AccountGrouping& grouping,

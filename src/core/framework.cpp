@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -54,23 +55,51 @@ double group_weight_entropy(std::span<const double> weights) {
   return entropy;
 }
 
-// Per-task scale normalizer over the *grouped* values, mirroring the CRH
-// baseline's std-normalized loss.
+// Per-task scale normalizers over the *grouped* values, mirroring the CRH
+// baseline's std-normalized loss: 1 where fewer than two values or a
+// degenerate spread.  Each task's values are already one contiguous row,
+// so no copy.
+void framework_task_normalizers(const GroupedData& grouped,
+                                std::span<const std::uint32_t> tasks,
+                                std::span<double> norm) {
+  const auto row = [&](std::size_t j) {
+    return std::span<const double>(grouped.value.data() + grouped.task_begin[j],
+                                   grouped.task_width(j));
+  };
+  for (std::size_t t = 0; t < tasks.size(); t += 8) {
+    std::span<const double> rows[8];
+    for (std::size_t l = 0; l < 8 && t + l < tasks.size(); ++l) {
+      rows[l] = row(tasks[t + l]);
+    }
+    double sd[8];
+    stddev8(rows, sd);
+    for (std::size_t l = 0; l < 8 && t + l < tasks.size(); ++l) {
+      norm[tasks[t + l]] = rows[l].size() >= 2 && sd[l] > 1e-12 ? sd[l] : 1.0;
+    }
+  }
+}
+
 std::vector<double> framework_task_normalizers(const GroupedData& grouped,
                                                std::size_t task_count) {
   SYBILTD_CHECK(grouped.task_count() == task_count,
                 "grouped data does not match the task count");
-  std::vector<double> norm(task_count, 1.0);
-  // Each task's values are already one contiguous row, so no copy.
-  for (std::size_t j = 0; j < task_count; ++j) {
-    const std::size_t width = grouped.task_width(j);
-    if (width >= 2) {
-      const double sd = stddev(std::span<const double>(
-          grouped.value.data() + grouped.task_begin[j], width));
-      if (sd > 1e-12) norm[j] = sd;
-    }
-  }
+  auto tasks = Workspace::local().borrow<std::uint32_t>(task_count);
+  std::iota(tasks.begin(), tasks.end(), std::uint32_t{0});
+  std::vector<double> norm(task_count);
+  framework_task_normalizers(grouped, tasks.span(), norm);
   return norm;
+}
+
+double framework_initial_truth(const GroupedData& grouped, std::size_t j,
+                               bool init_with_eq5) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t c = grouped.task_begin[j]; c < grouped.task_begin[j + 1];
+       ++c) {
+    const double w = init_with_eq5 ? grouped.initial_weight[c] : 1.0;
+    num += w * grouped.value[c];
+    den += w;
+  }
+  return den > 0.0 ? num / den : nan_value();
 }
 
 std::vector<double> framework_initial_truths(const GroupedData& grouped,
@@ -78,16 +107,9 @@ std::vector<double> framework_initial_truths(const GroupedData& grouped,
                                              bool init_with_eq5) {
   SYBILTD_CHECK(grouped.task_count() == task_count,
                 "grouped data does not match the task count");
-  std::vector<double> truths(task_count, nan_value());
+  std::vector<double> truths(task_count);
   for (std::size_t j = 0; j < task_count; ++j) {
-    double num = 0.0, den = 0.0;
-    for (std::size_t c = grouped.task_begin[j]; c < grouped.task_begin[j + 1];
-         ++c) {
-      const double w = init_with_eq5 ? grouped.initial_weight[c] : 1.0;
-      num += w * grouped.value[c];
-      den += w;
-    }
-    if (den > 0.0) truths[j] = num / den;
+    truths[j] = framework_initial_truth(grouped, j, init_with_eq5);
   }
   return truths;
 }
@@ -177,15 +199,20 @@ double framework_iterate_once(const GroupedData& grouped,
 FrameworkResult run_framework(const FrameworkInput& input,
                               const AccountGrouping& grouping,
                               const FrameworkOptions& options) {
+  return run_framework(group_data(input, grouping, options.data_grouping),
+                       grouping, options);
+}
+
+FrameworkResult run_framework(const GroupedData& grouped,
+                              const AccountGrouping& grouping,
+                              const FrameworkOptions& options) {
   obs::TraceSpan run_span("framework/run");
-  const std::size_t n_tasks = input.task_count;
+  const std::size_t n_tasks = grouped.task_count();
 
   FrameworkResult result;
   result.grouping = grouping;
   result.group_weights.assign(grouping.group_count(), 1.0);
 
-  const GroupedData grouped =
-      group_data(input, grouping, options.data_grouping);
   const std::vector<double> norm = framework_task_normalizers(grouped, n_tasks);
 
   // --- Initialization (Eq. 5 with the Eq. 4 weights) ----------------------

@@ -56,6 +56,13 @@ FrameworkResult run_framework(const FrameworkInput& input,
                               const AccountGrouping& grouping,
                               const FrameworkOptions& options = {});
 
+// Steps 3–5 on grouped data already built under `grouping`.  The overload
+// above groups a fresh table and calls this; the streaming drain calls it
+// on the table its campaign keeps.
+FrameworkResult run_framework(const GroupedData& grouped,
+                              const AccountGrouping& grouping,
+                              const FrameworkOptions& options = {});
+
 // Run the full pipeline: grouping method + framework.
 FrameworkResult run_framework(const FrameworkInput& input,
                               const AccountGrouper& grouper,
@@ -73,6 +80,11 @@ FrameworkResult run_framework(const FrameworkInput& input,
 // loss denominator); 1 where fewer than two values or a degenerate spread.
 std::vector<double> framework_task_normalizers(const GroupedData& grouped,
                                                std::size_t task_count);
+// The normalizers of the listed tasks alone, written to norm[j] (the same
+// arithmetic, eight tasks at a time).
+void framework_task_normalizers(const GroupedData& grouped,
+                                std::span<const std::uint32_t> tasks,
+                                std::span<double> norm);
 
 // Initial truths: Eq. (5) with the Eq. (4) size weights, or the plain mean
 // of the group aggregates when init_with_eq5 is false.  NaN for tasks with
@@ -80,6 +92,9 @@ std::vector<double> framework_task_normalizers(const GroupedData& grouped,
 std::vector<double> framework_initial_truths(const GroupedData& grouped,
                                              std::size_t task_count,
                                              bool init_with_eq5);
+// The initial truth of task j alone (the same arithmetic).
+double framework_initial_truth(const GroupedData& grouped, std::size_t j,
+                               bool init_with_eq5);
 
 // One Algorithm-2 iteration (lines 8–15): group-weight estimation over the
 // aggregated residuals, then truth re-estimation.  Updates `truths` and

@@ -75,15 +75,4 @@ void AccountGrouping::index_members(std::size_t group_count) {
   group_begin_[0] = 0;
 }
 
-std::span<const std::size_t> AccountGrouping::group(std::size_t k) const {
-  SYBILTD_CHECK(k < group_count(), "group index out of range");
-  return std::span<const std::size_t>(members_).subspan(
-      group_begin_[k], group_begin_[k + 1] - group_begin_[k]);
-}
-
-std::size_t AccountGrouping::group_of(std::size_t account) const {
-  SYBILTD_CHECK(account < account_count(), "account index out of range");
-  return group_of_[account];
-}
-
 }  // namespace sybiltd::core

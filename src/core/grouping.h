@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "core/framework_input.h"
 
 namespace sybiltd::core {
@@ -40,9 +41,16 @@ class AccountGrouping {
   }
   std::size_t account_count() const { return group_of_.size(); }
   // Members of group k, ascending.
-  std::span<const std::size_t> group(std::size_t k) const;
+  std::span<const std::size_t> group(std::size_t k) const {
+    SYBILTD_CHECK(k < group_count(), "group index out of range");
+    return std::span<const std::size_t>(members_).subspan(
+        group_begin_[k], group_begin_[k + 1] - group_begin_[k]);
+  }
   // Group index of an account.
-  std::size_t group_of(std::size_t account) const;
+  std::size_t group_of(std::size_t account) const {
+    SYBILTD_CHECK(account < account_count(), "account index out of range");
+    return group_of_[account];
+  }
   // Per-account group labels (group indices).
   std::vector<std::size_t> labels() const { return group_of_; }
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/workspace.h"
 #include "core/data_grouping.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -46,8 +47,11 @@ struct PipelineMetrics {
       "regroup of one touched campaign per micro-batch (us)");
   obs::Histogram& refine_us = obs::MetricsRegistry::global().histogram(
       "pipeline.refine_us",
-      "warm CRH refine of one touched campaign per micro-batch, before "
-      "publish (us)");
+      "warm refine of one touched campaign per micro-batch: patch of the "
+      "grouped table, normalizers, warm iterations; publish excluded (us)");
+  obs::Counter& cells_recomputed = obs::MetricsRegistry::global().counter(
+      "pipeline.refine.cells_recomputed",
+      "grouped-table cells re-aggregated by warm refines");
   obs::Histogram& queue_wait_us = obs::MetricsRegistry::global().histogram(
       "pipeline.queue_wait_us",
       "time the oldest report of each micro-batch spent in a shard queue "
@@ -101,6 +105,27 @@ double ticks_to_us_since(std::uint64_t ingest_ticks,
   return std::chrono::duration<double, std::micro>(age).count();
 }
 
+// A row's slot for `task`, or the slot before which it would be inserted.
+template <typename Row>
+auto find_task(Row& row, std::size_t task) {
+  return std::lower_bound(
+      row.begin(), row.end(), task,
+      [](const auto& slot, std::size_t t) { return slot.task < t; });
+}
+
+// An account's key in the grouped table: the smallest member of its group,
+// which, unlike the group's label, survives relabelling.
+std::uint32_t key_of(const core::AccountGrouping& grouping,
+                     std::size_t account) {
+  return static_cast<std::uint32_t>(
+      grouping.group(grouping.group_of(account))[0]);
+}
+
+// Two ids below 2^32 in one sortable word, `high` first.
+std::uint64_t pack(std::size_t high, std::size_t low) {
+  return static_cast<std::uint64_t>(high) << 32 | low;
+}
+
 }  // namespace
 
 // --- CampaignState ---------------------------------------------------------
@@ -115,8 +140,10 @@ CampaignState::CampaignState(std::size_t campaign, std::size_t task_count,
       counters_(counters),
       task_sets_(task_count),
       truths_(task_count, nan_value()),
+      normalizers_(task_count, 1.0),
       label_(std::to_string(campaign)) {
   SYBILTD_CHECK(task_count_ > 0, "campaign needs at least one task");
+  table_.task_begin.assign(task_count_ + 1, 0);
   auto& metrics = PipelineMetrics::get();
   ingest_to_apply_hist_ = &metrics.ingest_to_apply_us.at(label_);
   ingest_to_publish_hist_ = &metrics.ingest_to_publish_us.at(label_);
@@ -142,9 +169,13 @@ void CampaignState::ensure_account(std::size_t account) {
   if (account < n) return;
   task_sets_.resize(account + 1);  // first: it rejects ids past 32 bits
   observations_.resize(account + 1);
+  account_key_.resize(account + 1);
   // Each fresh account is a new singleton, which changes the partition.
   grouping_dirty_ = true;
-  for (std::size_t a = n; a <= account; ++a) mark_dirty(a);
+  for (std::size_t a = n; a <= account; ++a) {
+    mark_dirty(a);
+    account_key_[a] = static_cast<std::uint32_t>(a);
+  }
 }
 
 void CampaignState::apply(const Report& report) {
@@ -153,9 +184,8 @@ void CampaignState::apply(const Report& report) {
   ++step_;
   ++applied_;
   auto& row = observations_[report.account];
-  auto it = std::lower_bound(
-      row.begin(), row.end(), report.task,
-      [](const Slot& slot, std::size_t task) { return slot.task < task; });
+  const auto it = find_task(row, report.task);
+  dirty_reports_.push_back(pack(report.account, report.task));
   if (it != row.end() && it->task == report.task) {
     // Re-submission: last write wins, influence age resets.
     it->value = report.value;
@@ -186,15 +216,14 @@ void CampaignState::evict_stale() {
     if (!(std::pow(options_->decay, age) < options_->influence_floor)) break;
     arrivals_.pop_front();
     auto& row = observations_[oldest.account];
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), oldest.task,
-        [](const Slot& slot, std::size_t task) { return slot.task < task; });
+    const auto it = find_task(row, oldest.task);
     // An upsert since this arrival re-stamped the slot (or an eviction and
     // re-insert replaced it): a later FIFO entry owns it now.
     if (it == row.end() || it->task != oldest.task || it->born != oldest.born) {
       continue;
     }
     row.erase(it);
+    dirty_reports_.push_back(pack(oldest.account, oldest.task));
     task_sets_.erase(oldest.account, oldest.task);
     grouping_dirty_ = true;
     mark_dirty(oldest.account);
@@ -240,6 +269,7 @@ const core::AccountGrouping& CampaignState::grouping() {
   metrics.regroup_uf_rebuilds.inc(rebuilds - component_rebuilds_seen_);
   component_rebuilds_seen_ = rebuilds;
   grouping_dirty_ = false;
+  keys_stale_ = true;
   counters_->regroups.fetch_add(1, std::memory_order_relaxed);
   metrics.regroups.inc();
   return grouping_;
@@ -259,6 +289,178 @@ core::FrameworkInput CampaignState::as_framework_input() const {
   return view;
 }
 
+std::size_t CampaignState::patch_table(const core::AccountGrouping& grouping) {
+  const core::DataGroupingOptions& options =
+      options_->framework.data_grouping;
+  // The cells to re-aggregate, as (task, key) marks: each changed report's
+  // cell under the key its account had at the last refine and under its
+  // current key; and for an account whose key changed, the cells of all
+  // its live reports under both keys (its reports that left since are
+  // changed reports).  No other cell gained, lost or changed a member
+  // value.
+  dirty_marks_.clear();
+  for (const std::uint64_t report : dirty_reports_) {
+    const std::size_t account = report >> 32;
+    const std::size_t task = report & 0xffffffffu;
+    const std::uint32_t old_key = account_key_[account];
+    dirty_marks_.push_back(pack(task, old_key));
+    if (keys_stale_ && key_of(grouping, account) != old_key) {
+      dirty_marks_.push_back(pack(task, key_of(grouping, account)));
+    }
+  }
+  dirty_reports_.clear();
+  if (keys_stale_) {
+    for (std::size_t a = 0; a < observations_.size(); ++a) {
+      const std::uint32_t key = key_of(grouping, a);
+      if (key == account_key_[a]) continue;
+      for (const Slot& slot : observations_[a]) {
+        dirty_marks_.push_back(pack(slot.task, account_key_[a]));
+        dirty_marks_.push_back(pack(slot.task, key));
+      }
+      account_key_[a] = key;
+    }
+    keys_stale_ = false;
+  }
+  // Each task's distinct dirty keys, ascending: a counting sort by task,
+  // then a sort of each task's few keys.
+  dirty_begin_.assign(task_count_ + 1, 0);
+  for (const std::uint64_t mark : dirty_marks_) ++dirty_begin_[(mark >> 32) + 1];
+  for (std::size_t j = 0; j < task_count_; ++j) {
+    dirty_begin_[j + 1] += dirty_begin_[j];
+  }
+  dirty_keys_.resize(dirty_marks_.size());
+  for (const std::uint64_t mark : dirty_marks_) {
+    dirty_keys_[dirty_begin_[mark >> 32]++] = static_cast<std::uint32_t>(mark);
+  }
+  // dirty_begin_[j] now ends task j; compact each task's sorted, unique
+  // keys towards the front and restore the starts.
+  std::size_t kept = 0;
+  std::size_t from = 0;
+  for (std::size_t j = 0; j < task_count_; ++j) {
+    const auto first = dirty_keys_.begin() + static_cast<std::ptrdiff_t>(from);
+    const auto last =
+        dirty_keys_.begin() + static_cast<std::ptrdiff_t>(dirty_begin_[j]);
+    from = dirty_begin_[j];
+    std::sort(first, last);
+    dirty_begin_[j] = static_cast<std::uint32_t>(kept);
+    const auto unique_end = std::unique(first, last);
+    for (auto it = first; it != unique_end; ++it) dirty_keys_[kept++] = *it;
+  }
+  dirty_begin_[task_count_] = static_cast<std::uint32_t>(kept);
+
+  // One merge per task of the clean cells (in key order) with the dirty
+  // keys: a dirty key drops its old cell and, if it is still a group's
+  // smallest member and some member reported the task, gets a fresh cell
+  // aggregated over the members in ascending account order.
+  const core::GroupedData& old = table_;
+  core::GroupedData& next = next_table_;
+  const std::size_t bound = old.cell_count() + kept;
+  next.task_begin.resize(task_count_ + 1);
+  next.group.resize(bound);
+  next.value.resize(bound);
+  next.initial_weight.resize(bound);
+  next.member_count.resize(bound);
+  next_cell_key_.resize(bound);
+  next.group_task_count.assign(grouping.group_count(), 0);
+  std::size_t c = 0;
+  const auto copy_clean = [&](std::size_t from_cell, std::size_t to_cell) {
+    std::copy(old.value.begin() + from_cell, old.value.begin() + to_cell,
+              next.value.begin() + c);
+    std::copy(old.member_count.begin() + from_cell,
+              old.member_count.begin() + to_cell,
+              next.member_count.begin() + c);
+    std::copy(cell_key_.begin() + from_cell, cell_key_.begin() + to_cell,
+              next_cell_key_.begin() + c);
+    c += to_cell - from_cell;
+  };
+  for (std::size_t j = 0; j < task_count_; ++j) {
+    next.task_begin[j] = c;
+    std::size_t i = old.task_begin[j];
+    const std::size_t end = old.task_begin[j + 1];
+    for (std::size_t d = dirty_begin_[j]; d < dirty_begin_[j + 1]; ++d) {
+      const std::uint32_t key = dirty_keys_[d];
+      std::size_t clean_end = i;
+      while (clean_end < end && cell_key_[clean_end] < key) ++clean_end;
+      copy_clean(i, clean_end);
+      i = clean_end;
+      if (i < end && cell_key_[i] == key) ++i;
+      const auto members = grouping.group(grouping.group_of(key));
+      if (members[0] != key) continue;  // merged into a smaller key's group
+      member_values_.clear();
+      for (const std::size_t a : members) {
+        const auto& row = observations_[a];
+        const auto it = find_task(row, j);
+        if (it != row.end() && it->task == j) {
+          member_values_.push_back(it->value);
+        }
+      }
+      if (member_values_.empty()) continue;
+      next.value[c] = core::aggregate_group_values(member_values_, options);
+      next.member_count[c] = static_cast<std::uint32_t>(member_values_.size());
+      next_cell_key_[c++] = key;
+    }
+    copy_clean(i, end);
+    // Labels shift when groups merge or split, and Eq. (4) reads the
+    // task's submitter count, so every cell's label and weight are redone.
+    const std::size_t row_begin = next.task_begin[j];
+    std::uint32_t submitters = 0;
+    for (std::size_t k = row_begin; k < c; ++k) {
+      const std::size_t g = grouping.group_of(next_cell_key_[k]);
+      next.group[k] = static_cast<std::uint32_t>(g);
+      ++next.group_task_count[g];
+      submitters += next.member_count[k];
+    }
+    for (std::size_t k = row_begin; k < c; ++k) {
+      next.initial_weight[k] = core::initial_cell_weight(
+          options.size_from_task_participants
+              ? static_cast<double>(next.member_count[k])
+              : static_cast<double>(grouping.group(next.group[k]).size()),
+          static_cast<double>(submitters), options);
+    }
+  }
+  next.task_begin[task_count_] = c;
+  next.group.resize(c);
+  next.value.resize(c);
+  next.initial_weight.resize(c);
+  next.member_count.resize(c);
+  next_cell_key_.resize(c);
+  std::swap(table_, next_table_);
+  std::swap(cell_key_, next_cell_key_);
+
+  // Only a task with a dirty cell has a different value row.
+  dirty_tasks_.clear();
+  for (std::size_t j = 0; j < task_count_; ++j) {
+    if (dirty_begin_[j] < dirty_begin_[j + 1]) {
+      dirty_tasks_.push_back(static_cast<std::uint32_t>(j));
+    }
+  }
+  core::framework_task_normalizers(table_, dirty_tasks_, normalizers_);
+  return kept;
+}
+
+void CampaignState::rebuild_table(const core::AccountGrouping& grouping) {
+  auto flat = Workspace::local().borrow<core::GroupingReport>(live_);
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < observations_.size(); ++i) {
+    for (const Slot& slot : observations_[i]) {
+      flat[at++] = {static_cast<std::uint32_t>(i),
+                    static_cast<std::uint32_t>(slot.task), slot.value};
+    }
+  }
+  core::group_data(task_count_, flat.span(), grouping,
+                   options_->framework.data_grouping, table_);
+  cell_key_.resize(table_.cell_count());
+  for (std::size_t c = 0; c < cell_key_.size(); ++c) {
+    cell_key_[c] = static_cast<std::uint32_t>(grouping.group(table_.group[c])[0]);
+  }
+  for (std::size_t a = 0; a < observations_.size(); ++a) {
+    account_key_[a] = key_of(grouping, a);
+  }
+  dirty_reports_.clear();
+  keys_stale_ = false;
+  normalizers_ = core::framework_task_normalizers(table_, task_count_);
+}
+
 void CampaignState::refine_and_publish(bool to_convergence) {
   obs::TraceSpan span("campaign/refine");
   span.arg("campaign", static_cast<double>(campaign_));
@@ -270,41 +472,31 @@ void CampaignState::refine_and_publish(bool to_convergence) {
   double final_residual = 0.0;
 
   if (to_convergence) {
-    // The drain path *is* the batch path: identical grouped data through
-    // identical code, so a drained campaign equals core::run_framework.
-    core::FrameworkResult result = core::run_framework(
-        as_framework_input(), current, options_->framework);
+    // The drain path *is* the batch path: the same flat reports, in
+    // account order, through the same code, so a drained campaign equals
+    // core::run_framework.
+    rebuild_table(current);
+    core::FrameworkResult result =
+        core::run_framework(table_, current, options_->framework);
     truths_ = std::move(result.truths);
     group_weights_ = std::move(result.group_weights);
     iterations = result.iterations;
     converged = result.converged;
     final_residual = result.final_residual;
   } else {
-    // The flat report list in account order is the order the batch path's
-    // flatten_reports produces, so the grouped data is the same to the bit.
-    flat_reports_.clear();
-    for (std::size_t i = 0; i < observations_.size(); ++i) {
-      for (const Slot& slot : observations_[i]) {
-        flat_reports_.push_back({static_cast<std::uint32_t>(i),
-                                 static_cast<std::uint32_t>(slot.task),
-                                 slot.value});
-      }
-    }
-    const core::GroupedData grouped = core::group_data(
-        task_count_, flat_reports_, current, options_->framework.data_grouping);
-    const std::vector<double> norm =
-        core::framework_task_normalizers(grouped, task_count_);
-    const std::vector<double> init = core::framework_initial_truths(
-        grouped, task_count_, options_->framework.init_with_eq5);
+    const std::size_t recomputed = patch_table(current);
     // Warm start: keep converged truths, seed newly-covered tasks with the
     // Eq. (5) initializer.
     for (std::size_t j = 0; j < task_count_; ++j) {
-      if (std::isnan(truths_[j])) truths_[j] = init[j];
+      if (std::isnan(truths_[j])) {
+        truths_[j] = core::framework_initial_truth(
+            table_, j, options_->framework.init_with_eq5);
+      }
     }
     for (std::size_t k = 0; k < options_->refine_iterations; ++k) {
       ++iterations;
       const double delta = core::framework_iterate_once(
-          grouped, norm, options_->framework.loss_epsilon, truths_,
+          table_, normalizers_, options_->framework.loss_epsilon, truths_,
           group_weights_);
       final_residual = delta;
       if (delta < options_->framework.convergence.truth_tolerance) {
@@ -313,6 +505,7 @@ void CampaignState::refine_and_publish(bool to_convergence) {
       }
     }
     auto& metrics = PipelineMetrics::get();
+    metrics.cells_recomputed.inc(recomputed);
     metrics.regroup_us.record(us_between(regroup_start, refine_start));
     metrics.refine_us.record(
         us_between(refine_start, std::chrono::steady_clock::now()));

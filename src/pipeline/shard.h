@@ -19,6 +19,16 @@
 //     the dirty accounts' edges are re-derived from the index (prefix-
 //     filtered posting lists for rho >= 0) and fed to
 //     graph::IncrementalComponents,
+//   * the Eq. (3)-(4) grouped table of the live observations, kept between
+//     micro-batches and patched only where reports or groups changed: a
+//     warm refine re-aggregates the cells of the (task, account) pairs
+//     applied or evicted since the last refine, and of the accounts whose
+//     group changed, and copies every other cell.  Each cell is keyed by
+//     its group's smallest member, which survives relabelling; because
+//     groups are numbered by first occurrence, (task, key) order is the
+//     batch table's (task, group) order, and a cell aggregated from its
+//     members in ascending account order has the batch value, so the
+//     patched table equals a from-scratch group_data to the bit,
 //   * warm CRH truth state at the group granularity, refined a few
 //     warm-started iterations per micro-batch instead of re-running batch
 //     CRH from scratch.
@@ -116,7 +126,8 @@ class CampaignState {
 
   // Upsert one report: new (account, task) memberships enter the task-set
   // index and dirty the grouping; repeat reports only refresh value and
-  // age.
+  // age.  Either way the report's grouped cell is re-aggregated by the
+  // next refine.
   void apply(const Report& report);
 
   // Drop observations whose influence decayed below the floor (no-op when
@@ -129,13 +140,17 @@ class CampaignState {
   const core::AccountGrouping& grouping();
 
   // Refine the warm truth state and publish a fresh snapshot.  The warm
-  // path groups the live observations straight from the store and runs a
-  // few iterations; to_convergence runs the batch run_framework path on
-  // as_framework_input().
+  // path patches the grouped table and runs a few iterations;
+  // to_convergence rebuilds the table from the store with the flat
+  // group_data entry and runs the batch run_framework iteration on it.
   void refine_and_publish(bool to_convergence);
 
-  // Reconstruct the batch-framework view of the live observations.
+  // Reconstruct the batch-framework view of the live observations (a test
+  // oracle and diagnostic; no refine path builds it).
   core::FrameworkInput as_framework_input() const;
+
+  // The grouped table as of the last refine_and_publish.
+  const core::GroupedData& grouped_table() const { return table_; }
 
  private:
   struct Slot {
@@ -155,6 +170,11 @@ class CampaignState {
 
   void ensure_account(std::size_t account);
   void mark_dirty(std::size_t account);
+  // Bring table_ up to date with the store under `grouping` by patching
+  // the dirty cells; returns the number of cells re-aggregated.
+  std::size_t patch_table(const core::AccountGrouping& grouping);
+  // Rebuild table_ from the whole store (the drain path).
+  void rebuild_table(const core::AccountGrouping& grouping);
 
   std::size_t campaign_;
   std::size_t task_count_;
@@ -186,9 +206,33 @@ class CampaignState {
 
   std::vector<double> truths_;         // warm CRH state, per task
   std::vector<double> group_weights_;  // last iterated weights, per group
-  // Warm-refine scratch: the live observations as group_data's flat input,
-  // refilled in account order on every refine_and_publish(false).
-  std::vector<core::GroupingReport> flat_reports_;
+
+  // The grouped table as of the last refine, and the patch target that is
+  // swapped with it (both keep their capacity).
+  core::GroupedData table_;
+  core::GroupedData next_table_;
+  // Per cell of table_ / next_table_: the cell's key, the smallest member
+  // of its group.
+  std::vector<std::uint32_t> cell_key_;
+  std::vector<std::uint32_t> next_cell_key_;
+  // Per account: its key as of the last refine.
+  std::vector<std::uint32_t> account_key_;
+  // (account << 32 | task) of every report applied or evicted since the
+  // last refine; duplicates allowed.
+  std::vector<std::uint64_t> dirty_reports_;
+  // The grouping was rebuilt since the last refine, so keys may differ
+  // from account_key_.
+  bool keys_stale_ = false;
+  // Patch scratch: (task << 32 | key) of the cells to re-aggregate; the
+  // same as each task's distinct keys, ascending, in
+  // dirty_keys_[dirty_begin_[j], dirty_begin_[j + 1]); the tasks that have
+  // one; one cell's member values.
+  std::vector<std::uint64_t> dirty_marks_;
+  std::vector<std::uint32_t> dirty_begin_;
+  std::vector<std::uint32_t> dirty_keys_;
+  std::vector<std::uint32_t> dirty_tasks_;
+  std::vector<double> member_values_;
+  std::vector<double> normalizers_;  // per task, over table_
 
   std::uint64_t step_ = 0;     // arrivals, ages decay
   std::uint64_t applied_ = 0;  // reports applied (including upserts)

@@ -591,6 +591,38 @@ TEST(DataGrouping, RejectsOutOfRangeReports) {
                std::invalid_argument);
 }
 
+// The reusing form resizes a table that held a larger or smaller campaign
+// and writes exactly what a fresh table gets.
+TEST(DataGrouping, ReusedTableMatchesFreshTable) {
+  Rng rng(77);
+  GroupedData reused;
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t n_tasks = 1 + rng.uniform_index(12);
+    const std::size_t n_accounts = 1 + rng.uniform_index(60);
+    std::vector<GroupingReport> reports;
+    for (std::size_t a = 0; a < n_accounts; ++a) {
+      for (std::size_t j = 0; j < n_tasks; ++j) {
+        if (rng.bernoulli(0.4)) {
+          reports.push_back({static_cast<std::uint32_t>(a),
+                             static_cast<std::uint32_t>(j),
+                             rng.uniform(-80.0, -40.0)});
+        }
+      }
+    }
+    std::vector<std::size_t> labels(n_accounts);
+    for (auto& label : labels) label = rng.uniform_index(1 + n_accounts / 3);
+    const AccountGrouping grouping = AccountGrouping::from_labels(labels);
+    const GroupedData fresh = group_data(n_tasks, reports, grouping);
+    group_data(n_tasks, reports, grouping, {}, reused);
+    EXPECT_EQ(reused.task_begin, fresh.task_begin);
+    EXPECT_EQ(reused.group, fresh.group);
+    EXPECT_EQ(reused.value, fresh.value);
+    EXPECT_EQ(reused.initial_weight, fresh.initial_weight);
+    EXPECT_EQ(reused.member_count, fresh.member_count);
+    EXPECT_EQ(reused.group_task_count, fresh.group_task_count);
+  }
+}
+
 // --- Framework (Algorithm 2) ------------------------------------------------
 
 TEST(Framework, OracleGroupingNeutralizesPaperAttack) {

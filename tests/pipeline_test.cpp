@@ -381,6 +381,187 @@ TEST(CampaignStateRefine, FlatStoreMatchesFrameworkViewUnderChurnAndDecay) {
   EXPECT_GT(batches_with_merges, 0u);
 }
 
+template <typename T>
+bool same_array(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// Names the first field where two grouped tables differ, or "".
+std::string table_difference(const core::GroupedData& got,
+                             const core::GroupedData& want) {
+  if (!same_array(got.task_begin, want.task_begin)) return "task_begin";
+  if (!same_array(got.group, want.group)) return "group";
+  if (!same_array(got.value, want.value)) return "value";
+  if (!same_array(got.initial_weight, want.initial_weight)) {
+    return "initial_weight";
+  }
+  if (!same_array(got.member_count, want.member_count)) return "member_count";
+  if (!same_array(got.group_task_count, want.group_task_count)) {
+    return "group_task_count";
+  }
+  return "";
+}
+
+// The warm refine patches its grouped table instead of rebuilding it.  After
+// every batch the patched table must equal group_data on the batch view of
+// the same observations under the same grouping, to the bit, field by
+// field.  The stream mixes new memberships, upsert-only batches, decay
+// evictions (ten accounts go silent and every report of theirs decays
+// out), account 1 joining Sybil group {50..54} and leaving it again,
+// which renames that group's key and shifts every later group label, and
+// one mid-stream drain, in both Eq. (4) size modes and under all five
+// aggregates.
+TEST(CampaignStateRefine, PatchedTableEqualsFromScratchGroupData) {
+  constexpr std::size_t kAccounts = 200;
+  constexpr std::size_t kTasks = 32;
+  constexpr std::size_t kSybilStarts[] = {50, 100, 150, 190};
+  // Each account's task schedule; the five members of a Sybil group share
+  // one, and account 1 first takes group {50..54}'s and then ten others.
+  Rng schedule_rng(7);
+  std::vector<std::vector<std::size_t>> schedule(kAccounts);
+  for (std::size_t a = 0; a < kAccounts; ++a) {
+    for (std::size_t j = 0; j < kTasks; ++j) {
+      if (schedule_rng.bernoulli(0.15)) schedule[a].push_back(j);
+    }
+    if (schedule[a].empty()) schedule[a].push_back(a % kTasks);
+  }
+  for (const std::size_t start : kSybilStarts) {
+    schedule[start] = {start % kTasks, (start + 3) % kTasks,
+                       (start + 7) % kTasks, (start + 11) % kTasks,
+                       (start + 13) % kTasks, (start + 17) % kTasks};
+    for (std::size_t m = 1; m < 5; ++m) schedule[start + m] = schedule[start];
+  }
+  std::vector<std::size_t> escape;
+  for (std::size_t j = 0; j < kTasks && escape.size() < 10; ++j) {
+    if (std::find(schedule[50].begin(), schedule[50].end(), j) ==
+        schedule[50].end()) {
+      escape.push_back(j);
+    }
+  }
+  const auto silent_at = [](std::size_t a, int batch) {
+    if (a == 1) return batch < 30;                 // joins at batch 30
+    return a >= 180 && a < 190 && batch >= 10;     // decays out for good
+  };
+
+  const core::GroupAggregate aggregates[] = {
+      core::GroupAggregate::kInverseDeviation, core::GroupAggregate::kMean,
+      core::GroupAggregate::kMedian, core::GroupAggregate::kTrimmedMean,
+      core::GroupAggregate::kHuber};
+  for (const bool participants : {true, false}) {
+    for (const core::GroupAggregate aggregate : aggregates) {
+      SCOPED_TRACE(::testing::Message()
+                   << "aggregate " << static_cast<int>(aggregate)
+                   << " participants " << participants);
+      ShardOptions options;
+      options.rho = 0.0;
+      options.decay = 0.995;
+      options.influence_floor = 1e-2;  // a horizon of 919 arrivals
+      options.framework.data_grouping.aggregate = aggregate;
+      options.framework.data_grouping.size_from_task_participants =
+          participants;
+      SnapshotCell cell;
+      ShardCounters counters;
+      CampaignState state(0, kTasks, &options, &cell, &counters);
+      Rng rng(43);
+      bool joined = false, left = false;
+      std::size_t upsert_batches = 0, emptied_accounts = 0;
+      for (int batch = 0; batch < 120; ++batch) {
+        const bool upserts_only = batch % 7 == 6;
+        if (upserts_only) {
+          // Re-submit live observations with new values; no eviction, so
+          // the grouping and every membership stay as they are.
+          const core::FrameworkInput view = state.as_framework_input();
+          const std::uint64_t regroups = counters.regroups.load();
+          for (int r = 0; r < 48; ++r) {
+            const std::size_t a = rng.uniform_index(view.accounts.size());
+            const auto& reports = view.accounts[a].reports;
+            if (reports.empty()) continue;
+            const auto& report = reports[rng.uniform_index(reports.size())];
+            state.apply({0, a, report.task, rng.uniform(-90.0, -40.0), 0.0});
+          }
+          state.refine_and_publish(false);
+          ASSERT_EQ(counters.regroups.load(), regroups);
+          ++upsert_batches;
+        } else {
+          for (int r = 0; r < 64; ++r) {
+            const std::size_t a = rng.uniform_index(kAccounts);
+            if (silent_at(a, batch)) continue;
+            // Sybil accounts (and account 1 while it copies group
+            // {50..54}) replay their whole schedule; the others report one
+            // task of theirs.
+            const bool sybil = (a >= 50 && a % 50 < 5) || (a == 1 && batch < 60);
+            const auto& tasks = a != 1 ? schedule[a]
+                                : batch < 60 ? schedule[50]
+                                             : escape;
+            if (sybil) {
+              for (const std::size_t t : tasks) {
+                state.apply({0, a, t, -50.0 + rng.uniform(-0.5, 0.5), 0.0});
+              }
+            } else {
+              const std::size_t t = tasks[rng.uniform_index(tasks.size())];
+              state.apply({0, a, t, rng.uniform(-90.0, -40.0), 0.0});
+            }
+          }
+          state.evict_stale();
+          // One drain mid-stream: it rebuilds the table, and later warm
+          // refines patch from there.
+          state.refine_and_publish(/*to_convergence=*/batch == 45);
+        }
+        const core::AccountGrouping& grouping = state.grouping();
+        const core::GroupedData want = core::group_data(
+            state.as_framework_input(), grouping,
+            options.framework.data_grouping);
+        ASSERT_EQ(table_difference(state.grouped_table(), want), "")
+            << "batch " << batch;
+        if (grouping.account_count() > 50) {
+          const bool together = grouping.group_of(1) == grouping.group_of(50);
+          joined = joined || together;
+          left = left || (joined && !together);
+        }
+        if (batch == 119) {
+          const core::FrameworkInput view = state.as_framework_input();
+          for (std::size_t a = 180; a < 190; ++a) {
+            if (view.accounts[a].reports.empty()) ++emptied_accounts;
+          }
+        }
+      }
+      EXPECT_TRUE(joined);
+      EXPECT_TRUE(left);
+      EXPECT_GT(upsert_batches, 0u);
+      EXPECT_EQ(emptied_accounts, 10u);
+    }
+  }
+}
+
+// pipeline.refine.cells_recomputed counts the cells a warm refine
+// re-aggregates: one for one upsert, none when nothing changed.
+TEST(CampaignStateRefine, CellsRecomputedCountsOnlyDirtyCells) {
+  obs::Counter& recomputed = obs::MetricsRegistry::global().counter(
+      "pipeline.refine.cells_recomputed");
+  ShardOptions options;
+  options.rho = 1e9;  // no edges: three singleton groups
+  SnapshotCell cell;
+  ShardCounters counters;
+  CampaignState state(0, 4, &options, &cell, &counters);
+  for (std::size_t a = 0; a < 3; ++a) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      state.apply({0, a, j, -60.0 - static_cast<double>(a + j), 0.0});
+    }
+  }
+  std::uint64_t before = recomputed.value();
+  state.refine_and_publish(false);
+  EXPECT_EQ(recomputed.value() - before, 12u);
+  EXPECT_EQ(state.grouped_table().cell_count(), 12u);
+  before = recomputed.value();
+  state.refine_and_publish(false);
+  EXPECT_EQ(recomputed.value() - before, 0u);
+  state.apply({0, 1, 2, -70.0, 0.0});
+  before = recomputed.value();
+  state.refine_and_publish(false);
+  EXPECT_EQ(recomputed.value() - before, 1u);
+}
+
 // One regroup and one refine sample per touched campaign per micro-batch:
 // an untouched campaign adds none.
 TEST(CampaignStateRefine, RegroupAndRefineHistogramsCountTouchedCampaigns) {

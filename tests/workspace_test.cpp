@@ -287,6 +287,35 @@ TEST(ZeroAllocation, GroupDataAllocationsIndependentOfSize) {
   EXPECT_LE(large_allocs, 8u) << "group_data allocated per cell";
 }
 
+// Into a reused table that already held the campaign, group_data makes no
+// heap allocation: its arrays keep their capacity and its sort scratch
+// comes from the warm workspace pool.
+TEST(ZeroAllocation, ReusedGroupDataTableAllocatesNothing) {
+  constexpr std::size_t kAccounts = 500;
+  constexpr std::size_t kTasks = 64;
+  Rng rng(8);
+  std::vector<core::GroupingReport> reports;
+  for (std::size_t a = 0; a < kAccounts; ++a) {
+    for (std::size_t j = 0; j < kTasks; ++j) {
+      if (rng.bernoulli(0.1)) {
+        reports.push_back({static_cast<std::uint32_t>(a),
+                           static_cast<std::uint32_t>(j),
+                           rng.uniform(-90.0, -50.0)});
+      }
+    }
+  }
+  std::vector<std::size_t> labels(kAccounts);
+  for (std::size_t i = 0; i < kAccounts; ++i) labels[i] = i / 5;
+  const auto grouping = core::AccountGrouping::from_labels(labels);
+  core::GroupedData table;
+  core::group_data(kTasks, reports, grouping, {}, table);  // warm-up
+  const auto allocs = count_allocations([&] {
+    core::group_data(kTasks, reports, grouping, {}, table);
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(table.cell_count(), 0u);
+}
+
 // --- Plan caching ------------------------------------------------------------
 
 TEST(PlanCache, FftColdMatchesCachedExactly) {
