@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -378,76 +379,99 @@ void BM_GroupData(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupData)->Arg(2000)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
-// One warm refine of a streaming campaign on the campaign_stream shape:
-// 2,000 accounts over 64 tasks with schedules of 4-12 tasks, 10% of them
-// Sybil accounts in groups of five replaying one schedule, rho = 0, and a
-// decay horizon of 0.9 of a round, so each 256-report batch adds about
-// 256 memberships and evicts about 256.  Per iteration one batch is
-// applied, evicted and regrouped outside the timer; the timer covers
-// refine_and_publish(false) (the grouped-table update, normalizers, two
-// warm CRH iterations and the snapshot publish), after one untimed round.
-// `allocs_per_op` counts the heap allocations inside the timer.
-void BM_WarmRefine(benchmark::State& state) {
-  constexpr std::size_t kTasks = 64;
-  constexpr std::size_t kBatch = 256;
-  const auto accounts = static_cast<std::size_t>(state.range(0));
-  const std::size_t sybils = accounts / 10;
-  Rng rng(21);
+// A streaming campaign on the campaign_stream shape: 2,000 accounts over
+// 64 tasks with schedules of 4-12 tasks, 10% of them Sybil accounts in
+// groups of five replaying one schedule, rho = 0, and a decay horizon of
+// 0.9 of a round, so each 256-report batch adds about 256 memberships and
+// evicts about 256.  The constructor runs one untimed round of batches,
+// each applied, evicted, regrouped and refined.
+class StreamCampaign {
+ public:
+  static constexpr std::size_t kTasks = 64;
+  static constexpr std::size_t kBatch = 256;
+
+  explicit StreamCampaign(std::size_t accounts)
+      : accounts_(accounts), sybils_(accounts / 10), rng_(21) {
+    std::vector<std::size_t> tasks;
+    for (std::size_t a = 0; a < accounts; ++a) {
+      const bool clone =
+          a >= accounts - sybils_ && (a - (accounts - sybils_)) % 5 != 0;
+      if (!clone) {
+        tasks.clear();
+        const std::size_t len = 4 + rng_.uniform_index(9);
+        while (tasks.size() < len) {
+          const std::size_t t = rng_.uniform_index(kTasks);
+          if (std::find(tasks.begin(), tasks.end(), t) == tasks.end()) {
+            tasks.push_back(t);
+          }
+        }
+      }
+      double hours = rng_.uniform(0.0, 2.0);
+      for (const std::size_t t : tasks) {
+        round_.push_back({hours, a, t});
+        hours += rng_.uniform(0.05, 0.3);
+      }
+    }
+    std::sort(round_.begin(), round_.end(),
+              [](const Arrival& x, const Arrival& y) { return x.hours < y.hours; });
+    options_.rho = 0.0;
+    options_.decay = std::exp(std::log(options_.influence_floor) /
+                              (0.9 * static_cast<double>(round_.size())));
+    state_ = std::make_unique<pipeline::CampaignState>(0, kTasks, &options_,
+                                                       &cell_, &counters_);
+    while (next_ < round_.size()) {
+      apply_and_evict();
+      benchmark::DoNotOptimize(state_->grouping().group_count());
+      state_->refine_and_publish(false);
+    }
+  }
+
+  pipeline::CampaignState& state() { return *state_; }
+
+  // Apply the next batch of the round, then evict what decayed out.
+  void apply_and_evict() {
+    for (std::size_t r = 0; r < kBatch; ++r, ++next_) {
+      const Arrival& arrival = round_[next_ % round_.size()];
+      const bool sybil = arrival.account >= accounts_ - sybils_;
+      const double value = sybil ? -50.0 + rng_.uniform(-0.5, 0.5)
+                                 : -60.0 + rng_.uniform(-4.0, 4.0);
+      state_->apply({0, arrival.account, arrival.task, value, 0.0});
+    }
+    state_->evict_stale();
+  }
+
+ private:
   // (timestamp, account, task) of one round, in timestamp order.
   struct Arrival {
     double hours;
     std::size_t account;
     std::size_t task;
   };
-  std::vector<Arrival> round;
-  std::vector<std::size_t> tasks;
-  for (std::size_t a = 0; a < accounts; ++a) {
-    const bool clone = a >= accounts - sybils && (a - (accounts - sybils)) % 5 != 0;
-    if (!clone) {
-      tasks.clear();
-      const std::size_t len = 4 + rng.uniform_index(9);
-      while (tasks.size() < len) {
-        const std::size_t t = rng.uniform_index(kTasks);
-        if (std::find(tasks.begin(), tasks.end(), t) == tasks.end()) {
-          tasks.push_back(t);
-        }
-      }
-    }
-    double hours = rng.uniform(0.0, 2.0);
-    for (const std::size_t t : tasks) {
-      round.push_back({hours, a, t});
-      hours += rng.uniform(0.05, 0.3);
-    }
-  }
-  std::sort(round.begin(), round.end(),
-            [](const Arrival& x, const Arrival& y) { return x.hours < y.hours; });
-  pipeline::ShardOptions options;
-  options.rho = 0.0;
-  options.decay = std::exp(std::log(options.influence_floor) /
-                           (0.9 * static_cast<double>(round.size())));
-  pipeline::SnapshotCell cell;
-  pipeline::ShardCounters counters;
-  pipeline::CampaignState campaign(0, kTasks, &options, &cell, &counters);
-  std::size_t next = 0;
-  const auto apply_batch = [&] {
-    for (std::size_t r = 0; r < kBatch; ++r, ++next) {
-      const Arrival& arrival = round[next % round.size()];
-      const bool sybil = arrival.account >= accounts - sybils;
-      const double value = sybil ? -50.0 + rng.uniform(-0.5, 0.5)
-                                 : -60.0 + rng.uniform(-4.0, 4.0);
-      campaign.apply({0, arrival.account, arrival.task, value, 0.0});
-    }
-    campaign.evict_stale();
-    benchmark::DoNotOptimize(campaign.grouping().group_count());
-  };
-  while (next < round.size()) {
-    apply_batch();
-    campaign.refine_and_publish(false);
-  }
+
+  std::size_t accounts_;
+  std::size_t sybils_;
+  Rng rng_;
+  std::vector<Arrival> round_;
+  std::size_t next_ = 0;
+  pipeline::ShardOptions options_;
+  pipeline::SnapshotCell cell_;
+  pipeline::ShardCounters counters_;
+  std::unique_ptr<pipeline::CampaignState> state_;
+};
+
+// One warm refine of a StreamCampaign.  Per iteration one batch is
+// applied, evicted and regrouped outside the timer; the timer covers
+// refine_and_publish(false) (the grouped-table update, normalizers, two
+// warm CRH iterations and the snapshot publish).  `allocs_per_op` counts
+// the heap allocations inside the timer.
+void BM_WarmRefine(benchmark::State& state) {
+  StreamCampaign stream(static_cast<std::size_t>(state.range(0)));
+  pipeline::CampaignState& campaign = stream.state();
   g_alloc_count.store(0, std::memory_order_relaxed);
   for (auto _ : state) {
     state.PauseTiming();
-    apply_batch();
+    stream.apply_and_evict();
+    benchmark::DoNotOptimize(campaign.grouping().group_count());
     g_alloc_tracking.store(true, std::memory_order_relaxed);
     state.ResumeTiming();
     campaign.refine_and_publish(false);
@@ -459,6 +483,34 @@ void BM_WarmRefine(benchmark::State& state) {
   state.counters["live"] = static_cast<double>(campaign.live_observations());
 }
 BENCHMARK(BM_WarmRefine)->Arg(2000)->Unit(benchmark::kMicrosecond);
+
+// One streaming regroup of a StreamCampaign: per iteration one batch is
+// applied and evicted outside the timer, the timer covers
+// CampaignState::grouping() (the dirty accounts' TaskSetIndex::neighbors
+// probes, the incremental components and the label build), and the refine
+// runs untimed.  `entries` is the posting entries the regroup handed to
+// the verify kernel per call, read from pipeline.regroup.entries_verified.
+void BM_StreamingRegroup(benchmark::State& state) {
+  StreamCampaign stream(static_cast<std::size_t>(state.range(0)));
+  pipeline::CampaignState& campaign = stream.state();
+  const obs::Counter& verified =
+      obs::MetricsRegistry::global().counter("pipeline.regroup.entries_verified");
+  const std::uint64_t verified_before = verified.value();
+  for (auto _ : state) {
+    state.PauseTiming();
+    stream.apply_and_evict();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(campaign.grouping().group_count());
+    state.PauseTiming();
+    campaign.refine_and_publish(false);
+    state.ResumeTiming();
+  }
+  state.counters["entries"] = benchmark::Counter(
+      static_cast<double>(verified.value() - verified_before),
+      benchmark::Counter::kAvgIterations);
+  attach_simd_level(state);
+}
+BENCHMARK(BM_StreamingRegroup)->Arg(2000)->Unit(benchmark::kMicrosecond);
 
 // AccountGrouping::from_labels, the build every regroup and every batch
 // grouping method ends with.  The campaign_stream shape: 10% of the

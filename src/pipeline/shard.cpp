@@ -36,6 +36,11 @@ struct PipelineMetrics {
   obs::Counter& regroup_uf_rebuilds = obs::MetricsRegistry::global().counter(
       "pipeline.regroups.uf_rebuilds",
       "union-find rebuilds forced by edge removals on the incremental path");
+  obs::Counter& regroup_entries_verified =
+      obs::MetricsRegistry::global().counter(
+          "pipeline.regroup.entries_verified",
+          "posting entries the incremental regroup handed to the set-join "
+          "verify kernel");
   obs::Counter& evictions = obs::MetricsRegistry::global().counter(
       "pipeline.evictions", "observations decayed out");
   obs::Counter& publications = obs::MetricsRegistry::global().counter(
@@ -268,6 +273,9 @@ const core::AccountGrouping& CampaignState::grouping() {
   const std::uint64_t rebuilds = components_.rebuilds();
   metrics.regroup_uf_rebuilds.inc(rebuilds - component_rebuilds_seen_);
   component_rebuilds_seen_ = rebuilds;
+  const std::uint64_t verified = task_sets_.entries_verified();
+  metrics.regroup_entries_verified.inc(verified - entries_verified_seen_);
+  entries_verified_seen_ = verified;
   grouping_dirty_ = false;
   keys_stale_ = true;
   counters_->regroups.fetch_add(1, std::memory_order_relaxed);

@@ -9,9 +9,11 @@
 //     so re-submissions update in place as the paper's one-report-per-task
 //     rule implies),
 //   * a candidate::TaskSetIndex over the live task sets — a flat per-
-//     account bitset plus one posting list per task.  Applying or evicting
-//     an observation flips one bit and touches one posting list (O(1)
-//     amortised); the Eq. (6) counts T_ij (tasks both did) and L_ij (tasks
+//     account bitset plus, per task, the sorted list of the accounts whose
+//     probe prefix (first ceil(|T|/3) tasks) holds it.  Applying or
+//     evicting an observation flips one bit and moves at most one task into
+//     and one out of the account's prefix, each a binary-search update of
+//     one list; the Eq. (6) counts T_ij (tasks both did) and L_ij (tasks
 //     either did alone) are popcounts of two rows, so no per-pair state
 //     exists and memory stays linear in accounts plus observations,
 //   * the connected-component grouping over the affinity > rho graph,
@@ -203,6 +205,7 @@ class CampaignState {
   graph::IncrementalComponents components_;
   std::vector<std::uint32_t> neighbors_;  // regroup scratch
   std::uint64_t component_rebuilds_seen_ = 0;
+  std::uint64_t entries_verified_seen_ = 0;
 
   std::vector<double> truths_;         // warm CRH state, per task
   std::vector<double> group_weights_;  // last iterated weights, per group

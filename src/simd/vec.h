@@ -31,6 +31,12 @@
 
 namespace sybiltd::simd {
 
+// Internal linkage: each backend's translation unit defines its own F64x4
+// under this one name, so an external-linkage type would break the
+// one-definition rule, and an unoptimised build (whose inline members are
+// emitted out of line) could link one backend's members into another.
+namespace {
+
 #if defined(SYBILTD_VEC_AVX2)
 
 struct F64x4 {
@@ -259,4 +265,5 @@ struct F64x4 {
 
 #endif
 
+}  // namespace
 }  // namespace sybiltd::simd

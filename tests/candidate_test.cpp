@@ -947,8 +947,8 @@ TEST(TaskSetIndex, ReinsertedMembershipIsReportedOnce) {
     index.insert(0, t);
     index.insert(1, t);
   }
-  // Each cycle leaves a stale or duplicate posting entry for account 1
-  // until the list is compacted.
+  // Each cycle takes task 0 out of account 1's prefix and puts it back;
+  // account 1 must sit on each of its prefix lists exactly once.
   for (int cycle = 0; cycle < 100; ++cycle) {
     index.erase(1, 0);
     index.insert(1, 0);
@@ -963,6 +963,157 @@ TEST(TaskSetIndex, ReinsertedMembershipIsReportedOnce) {
   // Account 2 is empty: A(2, b) = -2|T_b|^2 / m, below -1 for 0 and 1.
   index.neighbors(2, -1.0, out);
   EXPECT_TRUE(out.empty());
+}
+
+// Eq. (6) neighbours by brute force over the index's own rows.
+std::vector<std::uint32_t> brute_neighbors(const candidate::TaskSetIndex& index,
+                                           std::size_t accounts, std::size_t m,
+                                           std::size_t a, double rho) {
+  std::vector<std::uint32_t> want;
+  for (std::size_t b = 0; b < accounts; ++b) {
+    if (b != a && core::AgTs::affinity(index.both(a, b), index.alone(a, b),
+                                       m) > rho) {
+      want.push_back(static_cast<std::uint32_t>(b));
+    }
+  }
+  return want;
+}
+
+// Sum over accounts of the probe-prefix length |T_a| - floor(2|T_a|/3).
+std::size_t prefix_total(const candidate::TaskSetIndex& index,
+                         std::size_t accounts) {
+  std::size_t total = 0;
+  for (std::size_t a = 0; a < accounts; ++a) {
+    total += index.size(a) - (2 * index.size(a)) / 3;
+  }
+  return total;
+}
+
+// The prefix lemma at its boundary.  Account 0 does p - 1 tasks of its own,
+// then the shared tasks, so their first sits exactly at the last position
+// of its prefix (p = |T| - floor(2|T|/3)); account 1 either does only the
+// shared tasks (one side tight: always an edge, T - 2L between 1 and 3) or
+// mirrors account 0 with tasks of its own (both sides tight: an edge only
+// while T > 2L still holds).  The tasks straddle a bitset word boundary and
+// are inserted in ascending, descending and interleaved order.
+TEST(TaskSetIndex, FirstSharedTaskAtLastPrefixPosition) {
+  constexpr std::size_t kTasks = 130;
+  for (std::size_t size = 1; size <= 15; ++size) {
+    const std::size_t prefix = size - (2 * size) / 3;
+    for (const bool both_tight : {false, true}) {
+      for (int order = 0; order < 3; ++order) {
+        // Account 0's own tasks from 50, account 1's from 60, shared from 70.
+        std::vector<std::pair<std::size_t, std::size_t>> members;
+        for (std::size_t i = 0; i + 1 < prefix; ++i) {
+          members.push_back({0, 50 + i});
+          if (both_tight) members.push_back({1, 60 + i});
+        }
+        for (std::size_t i = 0; i + prefix <= size; ++i) {
+          members.push_back({0, 70 + i});
+          members.push_back({1, 70 + i});
+        }
+        if (order == 1) std::reverse(members.begin(), members.end());
+        if (order == 2) {
+          std::stable_partition(members.begin(), members.end(),
+                                [](const auto& m) { return m.second >= 70; });
+        }
+        candidate::TaskSetIndex index(kTasks);
+        index.resize(2);
+        for (const auto& [account, task] : members) index.insert(account, task);
+        ASSERT_EQ(index.size(0), size);
+        ASSERT_EQ(index.posting_entries(), prefix_total(index, 2));
+        const std::size_t shared = size - prefix + 1;
+        const std::size_t alone = both_tight ? 2 * (prefix - 1) : prefix - 1;
+        ASSERT_EQ(index.both(0, 1), shared);
+        ASSERT_EQ(index.alone(0, 1), alone);
+        if (!both_tight) {
+          ASSERT_GT(shared, 2 * alone);
+        }
+        for (const double rho : {0.0, 0.5}) {
+          std::vector<std::uint32_t> got;
+          for (std::size_t a = 0; a < 2; ++a) {
+            index.neighbors(a, rho, got);
+            EXPECT_EQ(got, brute_neighbors(index, 2, kTasks, a, rho))
+                << "size " << size << " both " << both_tight << " order "
+                << order << " rho " << rho << " account " << a;
+          }
+          if (!both_tight && rho == 0.0) {
+            EXPECT_EQ(got, std::vector<std::uint32_t>({0})) << "size " << size;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The lists are a function of the task sets: an index built in one pass
+// and one that reached the same sets through churn (extra memberships
+// inserted and erased, the rest inserted in shuffled order, some erased
+// and re-inserted) hold the same number of entries, sum_a p(|T_a|), at
+// every step, and report the same neighbours.
+TEST(TaskSetIndex, PostingsDependOnlyOnTheSets) {
+  for (const std::size_t m : kIndexTaskCounts) {
+    const std::size_t kAccounts = 40;
+    std::mt19937_64 rng(2000 + m);
+    std::vector<std::pair<std::size_t, std::size_t>> members;
+    for (std::size_t a = 0; a < kAccounts; ++a) {
+      // Accounts in fives share a base schedule, then drop a task or two.
+      const std::size_t base = (a / 5) * 7;
+      for (std::size_t i = 0; i < 4 + (a / 5) % 9; ++i) {
+        if (a % 5 != 0 && rng() % 6 == 0) continue;
+        members.push_back({a, (base + 3 * i) % m});
+      }
+    }
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+
+    candidate::TaskSetIndex straight(m);
+    straight.resize(kAccounts);
+    for (const auto& [a, t] : members) straight.insert(a, t);
+
+    candidate::TaskSetIndex churned(m);
+    churned.resize(kAccounts);
+    std::vector<std::pair<std::size_t, std::size_t>> order = members;
+    std::shuffle(order.begin(), order.end(), rng);
+    std::uniform_int_distribution<std::size_t> task(0, m - 1);
+    std::vector<std::pair<std::size_t, std::size_t>> extra;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const auto [a, t] = order[i];
+      // A membership outside the final sets, erased again later.
+      const std::size_t e = task(rng);
+      if (!churned.contains(a, e) &&
+          !std::binary_search(members.begin(), members.end(),
+                              std::pair<std::size_t, std::size_t>{a, e})) {
+        churned.insert(a, e);
+        extra.push_back({a, e});
+      }
+      if (!churned.contains(a, t)) churned.insert(a, t);
+      if (i % 3 == 0) {
+        churned.erase(a, t);
+        churned.insert(a, t);
+      }
+      ASSERT_EQ(churned.posting_entries(), prefix_total(churned, kAccounts));
+    }
+    std::shuffle(extra.begin(), extra.end(), rng);
+    for (const auto& [a, e] : extra) {
+      churned.erase(a, e);
+      ASSERT_EQ(churned.posting_entries(), prefix_total(churned, kAccounts));
+    }
+
+    EXPECT_EQ(churned.posting_entries(), straight.posting_entries());
+    EXPECT_EQ(straight.posting_entries(), prefix_total(straight, kAccounts));
+    for (const double rho : kIndexRhos) {
+      std::vector<std::uint32_t> want;
+      std::vector<std::uint32_t> got;
+      for (std::size_t a = 0; a < kAccounts; ++a) {
+        ASSERT_EQ(churned.size(a), straight.size(a));
+        straight.neighbors(a, rho, want);
+        churned.neighbors(a, rho, got);
+        EXPECT_EQ(got, want) << "m " << m << " rho " << rho << " account " << a;
+        EXPECT_EQ(got, brute_neighbors(straight, kAccounts, m, a, rho));
+      }
+    }
+  }
 }
 
 TEST(TaskSetIndex, ValidatesArguments) {
