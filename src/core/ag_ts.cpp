@@ -81,20 +81,26 @@ std::vector<std::vector<double>> AgTs::affinity_matrix(
   return affinity_values;
 }
 
-std::vector<std::vector<std::uint32_t>> AgTs::task_sets(
-    const FrameworkInput& input) {
-  std::vector<std::vector<std::uint32_t>> sets(input.accounts.size());
-  for (std::size_t i = 0; i < input.accounts.size(); ++i) {
-    auto& set = sets[i];
-    set.reserve(input.accounts[i].reports.size());
+candidate::TaskSetTable AgTs::task_sets(const FrameworkInput& input) {
+  const std::size_t n = input.accounts.size();
+  std::size_t total = 0;
+  for (const auto& account : input.accounts) total += account.reports.size();
+  candidate::TaskSetTable sets;
+  sets.offset.resize(n + 1);
+  sets.task.resize(total);
+  std::uint32_t* const tasks = sets.task.data();
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t begin = at;
     for (const auto& report : input.accounts[i].reports) {
-      SYBILTD_CHECK(report.task < input.task_count,
-                    "report task out of range");
-      set.push_back(static_cast<std::uint32_t>(report.task));
+      tasks[at++] = checked_task_id(report.task, input.task_count);
     }
-    std::sort(set.begin(), set.end());
-    set.erase(std::unique(set.begin(), set.end()), set.end());
+    std::sort(tasks + begin, tasks + at);
+    at = static_cast<std::size_t>(std::unique(tasks + begin, tasks + at) -
+                                  tasks);
+    sets.offset[i + 1] = at;
   }
+  sets.task.resize(at);
   return sets;
 }
 
@@ -128,11 +134,10 @@ AccountGrouping AgTs::group_with_stats(const FrameworkInput& input,
   }
 
   metrics.sparse_groupings.inc();
-  const auto sets = task_sets(input);
   const std::size_t m = input.task_count;
   candidate::SetJoinStats join_stats;
   const std::vector<std::uint64_t> edges = candidate::sparse_affinity_edges(
-      sets,
+      task_sets(input),
       [rho, m](std::size_t both, std::size_t alone) {
         return affinity(both, alone, m) > rho;
       },

@@ -9,8 +9,8 @@
 // The threshold picks the evaluation:
 //   * rho >= 0 — an edge needs T > 2L, i.e. Jaccard similarity above 2/3,
 //     so candidate::sparse_affinity_edges (identical-set collapse + an
-//     exact prefix join) finds the components without ever materializing
-//     a dense matrix;
+//     exact two-task prefix join) finds the components without ever
+//     materializing a dense matrix;
 //   * rho < 0 — that necessity fails, so the n x n affinity matrix (also
 //     exposed for the Fig. 3 bench) is thresholded directly.
 //
@@ -60,9 +60,10 @@ class AgTs final : public AccountGrouper {
   static double affinity(std::size_t both, std::size_t alone,
                          std::size_t task_count);
 
-  // Sorted duplicate-free task sets per account, the sparse path's input.
-  static std::vector<std::vector<std::uint32_t>> task_sets(
-      const FrameworkInput& input);
+  // Every account's sorted, duplicate-free task set in one CSR table, the
+  // sparse path's input; built in one pass, with each task checked by
+  // checked_task_id.
+  static candidate::TaskSetTable task_sets(const FrameworkInput& input);
 
  private:
   AgTsOptions options_;

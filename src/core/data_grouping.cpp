@@ -47,10 +47,9 @@ Workspace::Borrowed<GroupingReport> flatten_reports(
   std::size_t at = 0;
   for (std::size_t i = 0; i < input.accounts.size(); ++i) {
     for (const auto& report : input.accounts[i].reports) {
-      SYBILTD_CHECK(report.task < input.task_count && report.task <= kMaxId,
-                    "report task out of range");
       flat[at++] = {static_cast<std::uint32_t>(i),
-                    static_cast<std::uint32_t>(report.task), report.value};
+                    checked_task_id(report.task, input.task_count),
+                    report.value};
     }
   }
   return flat;

@@ -8,8 +8,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "common/error.h"
 
 namespace sybiltd::core {
 
@@ -32,5 +36,16 @@ struct FrameworkInput {
   std::size_t task_count = 0;
   std::vector<AccountTrace> accounts;
 };
+
+// A report's task as the 32-bit id the flat tables store (flatten_reports,
+// AgTs::task_sets).  Throws unless it is below task_count and fits in 32
+// bits, so no id wraps onto another task.
+inline std::uint32_t checked_task_id(std::size_t task,
+                                     std::size_t task_count) {
+  SYBILTD_CHECK(task < task_count &&
+                    task <= std::numeric_limits<std::uint32_t>::max(),
+                "report task out of range");
+  return static_cast<std::uint32_t>(task);
+}
 
 }  // namespace sybiltd::core

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <random>
@@ -518,6 +519,48 @@ std::size_t row_overlap(const std::vector<std::uint64_t>& rows,
   return both;
 }
 
+// The join's CSR input from per-account sorted, duplicate-free task lists.
+candidate::TaskSetTable table_of(
+    const std::vector<std::vector<std::uint32_t>>& sets) {
+  candidate::TaskSetTable table;
+  for (const auto& set : sets) {
+    table.task.insert(table.task.end(), set.begin(), set.end());
+    table.offset.push_back(table.task.size());
+  }
+  return table;
+}
+
+// The join's exact edge list on `sets` against brute force under the
+// loosest admissible predicate T > 2L; returns whether any edge exists.
+bool join_matches_brute_force(
+    const std::vector<std::vector<std::uint32_t>>& sets,
+    const std::string& what) {
+  const auto is_edge = [](std::size_t both, std::size_t alone) {
+    return both > 2 * alone;
+  };
+  std::uint32_t top = 0;
+  for (const auto& set : sets) {
+    if (!set.empty()) top = std::max(top, set.back());
+  }
+  const std::size_t words = top / 64 + 1;
+  const auto rows = task_rows(sets, words);
+  std::vector<std::uint64_t> want;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (std::size_t j = i + 1; j < sets.size(); ++j) {
+      const std::size_t both = row_overlap(rows, words, i, j);
+      if (is_edge(both, sets[i].size() + sets[j].size() - 2 * both)) {
+        want.push_back(candidate::pack_pair(i, j));
+      }
+    }
+  }
+  candidate::SetJoinStats stats;
+  EXPECT_EQ(candidate::sparse_affinity_edges(table_of(sets), is_edge, &stats),
+            want)
+      << what;
+  EXPECT_TRUE(stats.exhaustive);
+  return !want.empty();
+}
+
 // Above the 4,096 distinct sets where a MinHash tier used to take over:
 // 5,000 accounts over 64 tasks with random 4-12 task schedules, Sybil
 // groups of five replaying one schedule, and near-clones (one task
@@ -588,6 +631,80 @@ TEST(AgTsSparse, ExactJoinMatchesBruteForceAboveOldCap) {
   }
 }
 
+// A task id beyond 32 bits is rejected, not wrapped onto task id - 2^32:
+// here account 1's task 2^32 + 1 would wrap onto task 1, giving it account
+// 0's set and a false Sybil group.
+TEST(AgTsSparse, RejectsTaskIdsBeyond32Bits) {
+  core::FrameworkInput input;
+  input.task_count = (std::size_t{1} << 32) + 8;
+  input.accounts.resize(2);
+  for (auto& account : input.accounts) {
+    account.reports = {{1, -60.0, 0.0}, {2, -60.0, 0.0}, {3, -60.0, 0.0}};
+  }
+  input.accounts[1].reports[0].task = (std::size_t{1} << 32) + 1;
+  EXPECT_THROW(core::AgTs::task_sets(input), std::invalid_argument);
+  EXPECT_THROW(core::AgTs().group(input), std::invalid_argument);
+}
+
+// Repeated (account, task) reports count once, in any order, and empty
+// accounts stay singletons: the flat builder's sets equal the sorted,
+// duplicate-free task lists, and AgTs groups exactly as the dense Eq. (6)
+// oracle.  Some accounts keep every task below 64 and the others reach up
+// to task 99, where several tasks share a bit of the join's one-word rows.
+TEST(AgTsSparse, RepeatedReportsAndEmptyAccountsMatchOracle) {
+  constexpr std::size_t kTasks = 100;
+  constexpr std::size_t kAccounts = 90;
+  std::mt19937_64 rng(23);
+  std::uniform_int_distribution<std::size_t> length(3, 9);
+  core::FrameworkInput input;
+  input.task_count = kTasks;
+  input.accounts.resize(kAccounts);
+  std::vector<std::set<std::uint32_t>> want(kAccounts);
+  for (std::size_t i = 0; i < kAccounts; ++i) {
+    if (i % 9 == 4) continue;  // empty account
+    std::vector<std::size_t> tasks;
+    if (i == 1) {
+      tasks = {64, 63, 2, 0};  // 0 and 64 share a bit of the one-word row
+    } else if (i % 3 == 2) {
+      // A replay of the previous account's set, reported in reverse.
+      for (const std::uint32_t t : want[i - 1]) tasks.insert(tasks.begin(), t);
+    } else {
+      std::uniform_int_distribution<std::size_t> task(
+          0, i % 2 == 0 ? 63 : kTasks - 1);
+      const std::size_t len = length(rng);
+      for (std::size_t k = 0; k < len; ++k) tasks.push_back(task(rng));
+    }
+    // Report some tasks twice, at the end and in place.
+    for (std::size_t k = 0; k < tasks.size(); k += 2) tasks.push_back(tasks[k]);
+    if (tasks.size() > 1) {
+      const std::size_t first = tasks[0];
+      tasks.insert(tasks.begin() + 1, first);
+    }
+    for (const std::size_t t : tasks) {
+      input.accounts[i].reports.push_back({t, -60.0, 0.0});
+      want[i].insert(static_cast<std::uint32_t>(t));
+    }
+  }
+  const auto sets = core::AgTs::task_sets(input);
+  ASSERT_EQ(sets.accounts(), kAccounts);
+  std::size_t collapsed_pairs = 0;
+  for (std::size_t i = 0; i < kAccounts; ++i) {
+    const auto got = sets.of(i);
+    EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+              std::vector<std::uint32_t>(want[i].begin(), want[i].end()))
+        << "account " << i;
+    collapsed_pairs += i > 0 && !want[i].empty() && want[i] == want[i - 1];
+  }
+  EXPECT_GT(collapsed_pairs, 10u);
+  for (const double rho : {0.0, 0.02, 0.5, 1.0}) {
+    core::AgTsOptions opt;
+    opt.rho = rho;
+    EXPECT_EQ(core::AgTs(opt).group(input).labels(),
+              oracle::agts_dense_labels(input, rho))
+        << "rho " << rho;
+  }
+}
+
 TEST(AgTsSparse, NegativeRhoKeepsDensePath) {
   const auto input = scenario_input(20, 2, 3, 12, 9);
   core::AgTsOptions opt;
@@ -628,7 +745,7 @@ TEST(SetJoin, ComponentsMatchBruteForceOnRandomSets) {
     };
     candidate::SetJoinStats stats;
     const auto edges =
-        candidate::sparse_affinity_edges(sets, is_edge, &stats);
+        candidate::sparse_affinity_edges(table_of(sets), is_edge, &stats);
     EXPECT_GT(stats.collapsed, 0u);
     graph::UnionFind sparse_uf(n);
     for (const std::uint64_t e : edges) {
@@ -658,38 +775,13 @@ TEST(SetJoin, ComponentsMatchBruteForceOnRandomSets) {
 // 1..15 and every overlap T, two sets (plus, in one layout, decoys that
 // make the unshared tasks common so the shared ones rank first) must give
 // exactly the brute-force edge list under the loosest admissible
-// predicate T > 2L.  This covers every floor(2s/3) and floor(4s/5) prefix
-// length, pairs exactly at 5T = 2(|A| + |B|) and at 3|B| = 2|A|, and
+// predicate T > 2L.  This covers every floor(2s/3) + 1 and floor(4s/5) + 1
+// prefix length, pairs exactly at 5T = 2(|A| + |B|) and at 3|B| = 2|A|, and
 // equal-size ties; task ids are spread over three bitset words (m = 130),
 // so several tasks share each bit of the join's one-word rows.
 TEST(SetJoin, PrefixAndSizeBoundaries) {
   constexpr std::size_t kTasks = 130;
-  const auto is_edge = [](std::size_t both, std::size_t alone) {
-    return both > 2 * alone;
-  };
-  const auto check = [&](const std::vector<std::vector<std::uint32_t>>& sets,
-                         const std::string& what) {
-    std::uint32_t top = 0;
-    for (const auto& set : sets) {
-      if (!set.empty()) top = std::max(top, set.back());
-    }
-    const std::size_t words = top / 64 + 1;
-    const auto rows = task_rows(sets, words);
-    std::vector<std::uint64_t> want;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      for (std::size_t j = i + 1; j < sets.size(); ++j) {
-        const std::size_t both = row_overlap(rows, words, i, j);
-        if (is_edge(both, sets[i].size() + sets[j].size() - 2 * both)) {
-          want.push_back(candidate::pack_pair(i, j));
-        }
-      }
-    }
-    candidate::SetJoinStats stats;
-    EXPECT_EQ(candidate::sparse_affinity_edges(sets, is_edge, &stats), want)
-        << what;
-    EXPECT_TRUE(stats.exhaustive);
-    return !want.empty();
-  };
+  const auto check = join_matches_brute_force;
   // Local task k -> a task id spread across the three words.
   const auto spread = [](std::size_t k) {
     return static_cast<std::uint32_t>((k * 67) % kTasks);
@@ -765,6 +857,85 @@ TEST(SetJoin, PrefixAndSizeBoundaries) {
   }
   one_bit.push_back({0, 64});
   EXPECT_TRUE(check(one_bit, "one bit"));
+}
+
+// The two-task prefixes' exact ends.  Each set's unshared tasks are the
+// rarest (they occur once; the shared tasks occur in both sets and in a
+// third set), so the shared tasks rank last and the second shared task
+// sits at position |S| - T + 2 of each set S.  For the set probed later
+// (the larger; the later id on a size tie) that is the probe prefix's last
+// task, p + 1 with p = |A| - floor(2|A|/3), when T = floor(2|A|/3) + 1; for
+// the set indexed first it is the index prefix's last task, q + 1 with
+// q = |B| - floor(4|B|/5), when T = floor(4|B|/5) + 1.  A prefix one task
+// shorter misses those edges.  Every |A|, |B| in 1..15 and every T, at
+// m = 64 (the exact one-word rows) and m = 130 (three words folded onto
+// one), against brute force.
+TEST(SetJoin, SecondSharedTaskAtPrefixEnds) {
+  for (const std::size_t m : {std::size_t{64}, std::size_t{130}}) {
+    const auto spread = [m](std::size_t k) {
+      return static_cast<std::uint32_t>((k * 67) % m);
+    };
+    std::size_t at_probe_end = 0, at_index_end = 0;
+    for (std::size_t size_a = 1; size_a <= 15; ++size_a) {
+      for (std::size_t size_b = 1; size_b <= 15; ++size_b) {
+        for (std::size_t both = 0; both <= std::min(size_a, size_b); ++both) {
+          std::vector<std::uint32_t> a, b, shared;
+          std::size_t next = 0;
+          for (std::size_t k = 0; k < both; ++k) shared.push_back(spread(next++));
+          a = b = shared;
+          for (std::size_t k = both; k < size_a; ++k) a.push_back(spread(next++));
+          for (std::size_t k = both; k < size_b; ++k) b.push_back(spread(next++));
+          shared.push_back(spread(next));  // keeps it distinct from A and B
+          for (auto* set : {&a, &b, &shared}) std::sort(set->begin(), set->end());
+          if (a == b) continue;  // the collapse tier, tested elsewhere
+          join_matches_brute_force(
+              {a, b, shared}, "|A| " + std::to_string(size_a) + " |B| " +
+                                  std::to_string(size_b) + " T " +
+                                  std::to_string(both) + " m " +
+                                  std::to_string(m));
+          if (both <= 2 * (size_a + size_b - 2 * both)) continue;  // no edge
+          const std::size_t probing = std::max(size_a, size_b);
+          const std::size_t indexed = std::min(size_a, size_b);
+          at_probe_end += both == (2 * probing) / 3 + 1;
+          at_index_end += both == (4 * indexed) / 5 + 1;
+        }
+      }
+    }
+    EXPECT_GT(at_probe_end, 10u) << "m " << m;
+    EXPECT_GT(at_index_end, 10u) << "m " << m;
+  }
+}
+
+// Long schedules: distinct sets of 40-90 tasks over 200, half of them
+// near-clones (one to four tasks swapped) of the others.  Such pairs share
+// many prefix tasks, so each is met through many pair lists, and the
+// one-word rows are nearly full, so the verify kernel passes most entries
+// to the exact check.  The edge list must equal brute force, each pair
+// once.
+TEST(SetJoin, LongSetsMatchBruteForce) {
+  constexpr std::uint32_t kTasks = 200;
+  std::mt19937_64 rng(2024);
+  std::uniform_int_distribution<std::uint32_t> task(0, kTasks - 1);
+  std::uniform_int_distribution<std::size_t> size(40, 90);
+  std::uniform_int_distribution<int> swaps(1, 4);
+  std::set<std::vector<std::uint32_t>> unique;
+  std::vector<std::vector<std::uint32_t>> sets;
+  while (sets.size() < 120) {
+    std::set<std::uint32_t> chosen;
+    if (sets.size() % 2 == 1) {
+      chosen.insert(sets.back().begin(), sets.back().end());
+      for (int k = swaps(rng); k > 0; --k) {
+        chosen.erase(std::next(chosen.begin(), rng() % chosen.size()));
+        chosen.insert(task(rng));
+      }
+    } else {
+      const std::size_t s = size(rng);
+      while (chosen.size() < s) chosen.insert(task(rng));
+    }
+    std::vector<std::uint32_t> set(chosen.begin(), chosen.end());
+    if (unique.insert(set).second) sets.push_back(std::move(set));
+  }
+  EXPECT_TRUE(join_matches_brute_force(sets, "long sets"));
 }
 
 // --- Incremental components ------------------------------------------------
