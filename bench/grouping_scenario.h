@@ -27,11 +27,22 @@ struct GroupingScenario {
   std::size_t attacker_groups = 0;
 };
 
+// The campaign's task count, enrollment window and schedule lengths
+// (distinct tasks per schedule, uniform in [min_schedule, max_schedule];
+// max_schedule must not exceed tasks).
+struct GroupingShape {
+  std::size_t tasks = 64;
+  double window_hours = 2.0;
+  std::size_t min_schedule = 4;
+  std::size_t max_schedule = 12;
+};
+
 inline GroupingScenario make_grouping_input(std::size_t n,
-                                            std::uint64_t seed) {
+                                            std::uint64_t seed,
+                                            const GroupingShape& shape) {
   GroupingScenario out;
-  const std::size_t m = std::max<std::size_t>(64, n / 250);
-  const double window_hours = std::max(2.0, static_cast<double>(n) / 5000.0);
+  const std::size_t m = shape.tasks;
+  const double window_hours = shape.window_hours;
   const std::size_t groups = n / 50;  // x5 accounts each = 10% of n
   const std::size_t legit = n - groups * 5;
   out.attacker_groups = groups;
@@ -40,7 +51,8 @@ inline GroupingScenario make_grouping_input(std::size_t n,
 
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<std::size_t> task_of(0, m - 1);
-  std::uniform_int_distribution<std::size_t> schedule_len(4, 12);
+  std::uniform_int_distribution<std::size_t> schedule_len(shape.min_schedule,
+                                                         shape.max_schedule);
   std::uniform_real_distribution<double> start_of(0.0, window_hours);
   std::uniform_real_distribution<double> gap(0.05, 0.3);
   std::normal_distribution<double> truth(-60.0, 5.0);
@@ -93,6 +105,16 @@ inline GroupingScenario make_grouping_input(std::size_t n,
     }
   }
   return out;
+}
+
+// The default shape: m = max(64, n / 250) tasks, a window of
+// max(2, n / 5000) hours and 4-12-task schedules.
+inline GroupingScenario make_grouping_input(std::size_t n,
+                                            std::uint64_t seed) {
+  return make_grouping_input(
+      n, seed,
+      GroupingShape{std::max<std::size_t>(64, n / 250),
+                    std::max(2.0, static_cast<double>(n) / 5000.0), 4, 12});
 }
 
 }  // namespace sybiltd::bench

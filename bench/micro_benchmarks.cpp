@@ -606,16 +606,17 @@ void BM_TaskSetIndexNeighbors(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskSetIndexNeighbors)->Arg(2000);
 
-// AG-TR blocking (Eq. 8's endpoint grid) alone on the same Sybil-shaped
+// AG-TR blocking (Eq. 8's endpoint slabs) alone on the same Sybil-shaped
 // campaign shape (bench/grouping_scenario.h), phi = 1: sort the accounts
-// into the cell table, walk each cell's 3^4 box and emit the pairs whose
-// endpoint bound is below phi.  `allocs_per_op` is the heap allocations
-// per call once the workspace pool is warm; the CI perf-smoke job holds it
-// under a constant that does not depend on size (one vector per occupied
-// cell would be thousands).
-void BM_EndpointGrid(benchmark::State& state) {
-  const auto scenario = bench::make_grouping_input(
-      static_cast<std::size_t>(state.range(0)), 16);
+// by cell key, walk each slab's neighbor windows and emit the pairs whose
+// blocking bound is below phi.  The few_tasks_long_window fixture (20,000
+// accounts, 4 tasks, a 200-hour window, 1-4-task schedules) crowds every
+// slab, so only the time axes keep the windows small.  `allocs_per_op` is
+// the heap allocations per call once the workspace pool is warm; the CI
+// perf-smoke job holds it under a constant that does not depend on size
+// (one vector per slab or cell would be thousands).
+void run_endpoint_grid(benchmark::State& state,
+                       const bench::GroupingScenario& scenario) {
   const auto fps = candidate::fingerprints_of(
       core::AgTr::series_table(scenario.input));
   candidate::BlockingStats stats;
@@ -632,9 +633,21 @@ void BM_EndpointGrid(benchmark::State& state) {
   state.counters["box_pairs"] = static_cast<double>(stats.box_pairs);
   state.counters["emitted"] = static_cast<double>(stats.candidates);
 }
+
+void BM_EndpointGrid(benchmark::State& state) {
+  run_endpoint_grid(state, bench::make_grouping_input(
+                               static_cast<std::size_t>(state.range(0)), 16));
+}
 BENCHMARK(BM_EndpointGrid)
     ->Arg(2000)
     ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_EndpointGrid(benchmark::State& state, bench::GroupingShape shape) {
+  run_endpoint_grid(state, bench::make_grouping_input(20000, 16, shape));
+}
+BENCHMARK_CAPTURE(BM_EndpointGrid, few_tasks_long_window,
+                  bench::GroupingShape{4, 200.0, 1, 4})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_AgTr(benchmark::State& state) {

@@ -4,7 +4,7 @@
 // sub-quadratic production groupers (built on src/candidate/) against
 // bench-local all-pairs oracles:
 //
-//   AG-TR   AgTr(): endpoint-grid blocking + lower-bound cascade  vs  every
+//   AG-TR   AgTr(): endpoint-slab blocking + bound cascade        vs  every
 //           pair, skipped only when the endpoint bound reaches phi,
 //           otherwise exact DTW,
 //   AG-TS   AgTs(): signature collapse + exact prefix join         vs  an
@@ -326,13 +326,14 @@ int run_grouping(const std::vector<std::size_t>& sizes, bool json,
     if (!benchmarks.empty()) benchmarks.resize(benchmarks.size() - 2);
     std::printf("{\n  \"context\": {\"bench\": \"scalability --json\", "
                 "\"rho\": %.1f, \"nproc\": %u, \"cpu_model\": \"%s\", "
-                "\"simd_level\": \"%s\"},\n  \"benchmarks\": [\n%s\n  ]\n}\n",
+                "\"simd_level\": \"%s\", \"build_type\": \"%s\"},\n"
+                "  \"benchmarks\": [\n%s\n  ]\n}\n",
                 kRho, std::thread::hardware_concurrency(), cpu_model().c_str(),
                 std::string(simd::level_name(simd::active_level())).c_str(),
-                benchmarks.c_str());
+                SYBILTD_BUILD_TYPE, benchmarks.c_str());
     return 0;
   }
-  std::printf("AG-TR: endpoint-grid blocking + lower-bound cascade vs "
+  std::printf("AG-TR: endpoint-slab blocking + bound cascade vs "
               "the all-pairs\noracle (endpoint bound, then exact DTW).  "
               "Recall is pairwise against the\noracle's grouping (1.0 "
               "expected: the production path is provably exact).\n\n%s\n",
@@ -419,7 +420,8 @@ int run_strategies(std::size_t max_legit) {
   std::printf("%s", table.render().c_str());
   std::printf("\nAgTr() is exact (identical grouping) because blocking and "
               "the cascade only\nskip pairs whose lower bound already "
-              "proves D >= phi.\n");
+              "proves D >= phi, and accept without a\nDP only pairs whose "
+              "diagonal upper bound proves D < phi.\n");
   return all_identical ? 0 : 1;
 }
 

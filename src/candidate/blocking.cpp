@@ -1,7 +1,6 @@
 #include "candidate/blocking.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -15,7 +14,8 @@ namespace {
 // x_first, x_last, y_first, y_last from the top, each biased by 2^31.
 // With coordinates clamped to +-2^30 a field and its +-1 neighbors never
 // carry into the next field, so comparing keys orders cells
-// lexicographically and adding a packed offset moves single fields.
+// lexicographically and adding a packed offset moves single fields.  The
+// high 64 bits are the slab, the (x_first, x_last) cell.
 using CellKey = unsigned __int128;
 
 constexpr double kCoordLimit = 1073741824.0;  // 2^30
@@ -27,37 +27,90 @@ CellKey cell_coord(double value, double width) {
   return static_cast<CellKey>(static_cast<std::int64_t>(cell) + kBias);
 }
 
-// (dx_first, dx_last, dy_first) as an addition to a key, modulo 2^128.
-constexpr CellKey row_offset(int dx_first, int dx_last, int dy_first) {
-  const auto field = [](int delta, int shift) {
-    return static_cast<CellKey>(static_cast<__int128>(delta)) << shift;
-  };
-  return field(dx_first, 96) + field(dx_last, 64) + field(dy_first, 32);
-}
-
-// The 13 (dx_first, dx_last, dy_first) offsets whose first non-zero
-// component is positive.  Each row, with dy_last in {-1, 0, +1}, plus the
-// next cell (0, 0, 0, +1) are the 40 lexicographically larger neighbors of
-// a cell, so every unordered pair of distinct neighboring cells is visited
-// exactly once, from its smaller end.
-constexpr std::array<CellKey, 13> kForwardRows = [] {
-  std::array<CellKey, 13> rows{};
-  std::size_t r = 0;
-  for (int a = 0; a <= 1; ++a) {
-    for (int b = -1; b <= 1; ++b) {
-      for (int c = -1; c <= 1; ++c) {
-        const int first_nonzero = a != 0 ? a : (b != 0 ? b : c);
-        if (first_nonzero == 1) rows[r++] = row_offset(a, b, c);
-      }
-    }
-  }
-  return rows;
-}();
-
 struct Entry {
   CellKey key;
   std::uint32_t id;
 };
+
+// Stable LSD radix sort of `count` entries by key, one counting pass per
+// key byte that is not the same in every entry (usually a few: cells
+// spread over a narrow range of each coordinate).  `scratch` holds as
+// many entries; returns whichever of the two buffers ends up sorted.
+// Entries arrive in ascending id order, so equal keys stay in id order.
+Entry* sort_by_key(Entry* entries, Entry* scratch, std::size_t count) {
+  if (count < 2) return entries;
+  CellKey differ = 0;
+  for (std::size_t k = 1; k < count; ++k) {
+    differ |= entries[k].key ^ entries[0].key;
+  }
+  for (int shift = 0; shift < 128; shift += 8) {
+    if (((differ >> shift) & 0xff) == 0) continue;
+    std::size_t start[257] = {};
+    for (std::size_t k = 0; k < count; ++k) {
+      ++start[((entries[k].key >> shift) & 0xff) + 1];
+    }
+    for (std::size_t d = 1; d < 257; ++d) start[d] += start[d - 1];
+    for (std::size_t k = 0; k < count; ++k) {
+      scratch[start[(entries[k].key >> shift) & 0xff]++] = entries[k];
+    }
+    std::swap(entries, scratch);
+  }
+  return entries;
+}
+
+// One sorted account: its endpoints and envelope extremes, the biased
+// y_first cell the window compares, and its id.
+struct Member {
+  EndpointPoint point;
+  double task_lo;
+  double task_hi;
+  double time_lo;
+  double time_hi;
+  std::uint32_t y_cell;
+  std::uint32_t id;
+};
+
+double blocking_bound(const Member& a, const Member& b) {
+  const EndpointBound endpoint = endpoint_bound(a.point, b.point);
+  return std::max(endpoint.task,
+                  extremes_bound(a.task_lo, a.task_hi, b.task_lo, b.task_hi)) +
+         std::max(endpoint.time,
+                  extremes_bound(a.time_lo, a.time_hi, b.time_lo, b.time_hi));
+}
+
+// A run of members with equal (x_first, x_last) cells, the coordinate box
+// of their endpoints, and whether any member is a singleton.
+struct Slab {
+  std::uint64_t key;
+  std::uint32_t begin;
+  EndpointPoint lo;
+  EndpointPoint hi;
+  bool singleton;
+};
+
+double gap(double lo_a, double hi_a, double lo_b, double hi_b) {
+  if (lo_b > hi_a) return lo_b - hi_a;
+  if (lo_a > hi_b) return lo_a - hi_b;
+  return 0.0;
+}
+
+// The endpoint bound no member pair of two slabs can beat: each squared
+// coordinate difference is at least the squared gap between the boxes
+// (subtraction and squaring round monotonically), summed by the same
+// endpoint_bound arithmetic.  If both slabs hold a singleton, a
+// singleton-singleton pair counts only its first alignment, so only the
+// first gaps count.
+double box_bound(const Slab& a, const Slab& b) {
+  const bool collapsed = a.singleton && b.singleton;
+  const EndpointPoint origin{0.0, 0.0, 0.0, 0.0, collapsed};
+  const EndpointPoint gaps{
+      gap(a.lo.task_first, a.hi.task_first, b.lo.task_first, b.hi.task_first),
+      gap(a.lo.task_last, a.hi.task_last, b.lo.task_last, b.hi.task_last),
+      gap(a.lo.time_first, a.hi.time_first, b.lo.time_first, b.hi.time_first),
+      gap(a.lo.time_last, a.hi.time_last, b.lo.time_last, b.hi.time_last),
+      collapsed};
+  return endpoint_bound(origin, gaps).total();
+}
 
 }  // namespace
 
@@ -76,8 +129,8 @@ std::vector<std::uint64_t> endpoint_grid_candidates(
   }
   const double width = std::sqrt(phi);
 
-  // Sort the accounts by (cell, id): members of a cell are contiguous and
-  // ascending, and cells come in lexicographic order.
+  // Sort the accounts by (cell, id): slabs are contiguous and in key order,
+  // and a slab's members come by (y_first cell, y_last cell, id).
   Workspace& workspace = Workspace::local();
   auto entries = workspace.borrow<Entry>(n);
   std::size_t count = 0;
@@ -96,74 +149,97 @@ std::vector<std::uint64_t> endpoint_grid_candidates(
                         static_cast<std::uint32_t>(i)};
   }
   local.accounts = count;
-  std::sort(entries.begin(), entries.begin() + count,
-            [](const Entry& a, const Entry& b) {
-              return a.key != b.key ? a.key < b.key : a.id < b.id;
-            });
+  auto scratch = workspace.borrow<Entry>(count);
+  const Entry* sorted = sort_by_key(entries.data(), scratch.data(), count);
 
-  // The CSR cell table, plus each sorted account's endpoints and id.
-  auto points = workspace.borrow<EndpointPoint>(count);
-  auto ids = workspace.borrow<std::uint32_t>(count);
-  auto cell_key = workspace.borrow<CellKey>(count);
-  auto cell_start = workspace.borrow<std::uint32_t>(count + 1);
-  std::size_t cells = 0;
+  // The members in sorted order and the slab table over them, with one
+  // sentinel slab whose begin closes the last run.
+  auto members = workspace.borrow<Member>(count);
+  auto slabs = workspace.borrow<Slab>(count + 1);
+  std::size_t slab_count = 0;
   for (std::size_t k = 0; k < count; ++k) {
-    ids[k] = entries[k].id;
-    points[k] = fingerprints[entries[k].id].endpoints();
-    if (k == 0 || entries[k].key != entries[k - 1].key) {
-      cell_key[cells] = entries[k].key;
-      cell_start[cells++] = static_cast<std::uint32_t>(k);
+    const TrajectoryFingerprint& fp = fingerprints[sorted[k].id];
+    const EndpointPoint p = fp.endpoints();
+    members[k] = {p,
+                  fp.task.lo,
+                  fp.task.hi,
+                  fp.time.lo,
+                  fp.time.hi,
+                  static_cast<std::uint32_t>(sorted[k].key >> 32),
+                  sorted[k].id};
+    const auto key = static_cast<std::uint64_t>(sorted[k].key >> 64);
+    if (slab_count == 0 || slabs[slab_count - 1].key != key) {
+      slabs[slab_count++] = {key, static_cast<std::uint32_t>(k), p, p,
+                             p.singleton};
+    } else {
+      Slab& s = slabs[slab_count - 1];
+      s.lo = {std::min(s.lo.task_first, p.task_first),
+              std::min(s.lo.task_last, p.task_last),
+              std::min(s.lo.time_first, p.time_first),
+              std::min(s.lo.time_last, p.time_last), false};
+      s.hi = {std::max(s.hi.task_first, p.task_first),
+              std::max(s.hi.task_last, p.task_last),
+              std::max(s.hi.time_first, p.time_first),
+              std::max(s.hi.time_last, p.time_last), false};
+      s.singleton = s.singleton || p.singleton;
     }
   }
-  cell_start[cells] = static_cast<std::uint32_t>(count);
+  slabs[slab_count].begin = static_cast<std::uint32_t>(count);
   entries.reset();
-  local.occupied_cells = cells;
+  scratch.reset();
+  local.slabs = slab_count;
 
   candidates.reserve(count);
-  const auto emit_cross = [&](std::size_t a, std::size_t b) {
-    const std::size_t a_begin = cell_start[a], a_end = cell_start[a + 1];
-    const std::size_t b_begin = cell_start[b], b_end = cell_start[b + 1];
-    local.box_pairs += (a_end - a_begin) * (b_end - b_begin);
-    for (std::size_t p = a_begin; p < a_end; ++p) {
-      const EndpointPoint point = points[p];
-      const std::uint32_t u = ids[p];
-      for (std::size_t q = b_begin; q < b_end; ++q) {
-        if (endpoint_bound(point, points[q]).total() < phi) {
-          const std::uint32_t v = ids[q];
-          candidates.push_back(u < v ? pack_pair(u, v) : pack_pair(v, u));
-        }
-      }
+  const auto test = [&](const Member& a, const Member& b) {
+    if (blocking_bound(a, b) < phi) {
+      candidates.push_back(a.id < b.id ? pack_pair(a.id, b.id)
+                                       : pack_pair(b.id, a.id));
+    }
+  };
+  // Pairs of one slab: each member with the later members whose y_first
+  // cell is at most one above its own.
+  const auto walk_within = [&](std::size_t s) {
+    const std::size_t begin = slabs[s].begin, end = slabs[s + 1].begin;
+    std::size_t reach = begin;
+    for (std::size_t p = begin; p < end; ++p) {
+      const std::uint32_t top = members[p].y_cell + 1;
+      reach = std::max(reach, p + 1);
+      while (reach < end && members[reach].y_cell <= top) ++reach;
+      local.box_pairs += reach - p - 1;
+      for (std::size_t q = p + 1; q < reach; ++q) test(members[p], members[q]);
+    }
+  };
+  // Pairs across two neighboring slabs: each member of `a` with the run of
+  // `b` whose y_first cells are within +-1 of its own.
+  const auto walk_across = [&](std::size_t a, std::size_t b) {
+    if (box_bound(slabs[a], slabs[b]) >= phi) return;
+    const std::size_t b_end = slabs[b + 1].begin;
+    std::size_t lo = slabs[b].begin, hi = lo;
+    for (std::size_t p = slabs[a].begin; p < slabs[a + 1].begin; ++p) {
+      const std::uint32_t y = members[p].y_cell;
+      while (lo < b_end && members[lo].y_cell + 1 < y) ++lo;
+      hi = std::max(hi, lo);
+      while (hi < b_end && members[hi].y_cell <= y + 1) ++hi;
+      local.box_pairs += hi - lo;
+      for (std::size_t q = lo; q < hi; ++q) test(members[p], members[q]);
     }
   };
 
-  std::array<std::size_t, kForwardRows.size()> cursor{};
-  for (std::size_t c = 0; c < cells; ++c) {
-    const CellKey key = cell_key[c];
-    const std::size_t begin = cell_start[c], end = cell_start[c + 1];
-    local.largest_cell = std::max(local.largest_cell, end - begin);
-    // Within-cell pairs (members are in ascending account order).
-    local.box_pairs += (end - begin) * (end - begin - 1) / 2;
-    for (std::size_t p = begin; p < end; ++p) {
-      for (std::size_t q = p + 1; q < end; ++q) {
-        if (endpoint_bound(points[p], points[q]).total() < phi) {
-          candidates.push_back(pack_pair(ids[p], ids[q]));
-        }
-      }
+  // A slab meets itself, the next slab (0, +1) and the (+1, -1..+1) run;
+  // the run's keys grow with the slab's, so its cursor only moves forward.
+  constexpr std::uint64_t kNextRow = std::uint64_t{1} << 32;
+  std::size_t row = 0;
+  for (std::size_t s = 0; s < slab_count; ++s) {
+    const std::uint64_t key = slabs[s].key;
+    walk_within(s);
+    if (s + 1 < slab_count && slabs[s + 1].key == key + 1) {
+      walk_across(s, s + 1);
     }
-    // (0, 0, 0, +1) is the next cell in key order, if occupied.
-    if (c + 1 < cells && cell_key[c + 1] == key + 1) {
-      emit_cross(c, c + 1);
-    }
-    // Each forward row's dy_last in {-1, 0, +1} run.  The row's target
-    // keys grow with c, so its cursor only moves forward.
-    for (std::size_t r = 0; r < kForwardRows.size(); ++r) {
-      const CellKey first = key + kForwardRows[r] - 1;
-      const CellKey last = first + 2;
-      std::size_t& k = cursor[r];
-      while (k < cells && cell_key[k] < first) ++k;
-      for (std::size_t t = k; t < cells && cell_key[t] <= last; ++t) {
-        emit_cross(c, t);
-      }
+    const std::uint64_t first = key + kNextRow - 1;
+    while (row < slab_count && slabs[row].key < first) ++row;
+    for (std::size_t t = row; t < slab_count && slabs[t].key <= first + 2;
+         ++t) {
+      walk_across(s, t);
     }
   }
   std::sort(candidates.begin(), candidates.end());

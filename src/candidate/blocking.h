@@ -1,6 +1,5 @@
-// Endpoint-grid blocking for AG-TR: emit only the account pairs whose
-// endpoint lower bound is below phi, without ever touching the remaining
-// pairs.
+// Endpoint-slab blocking for AG-TR: emit only the account pairs whose
+// blocking bound is below phi, without ever touching the remaining pairs.
 //
 // Exactness argument.  AG-TR's dissimilarity is
 //     D(i,j) = DTW(X_i, X_j) + DTW(Y_i, Y_j)
@@ -11,28 +10,35 @@
 // a 4-d grid over (x.first, x.last, y.first, y.last) with cell width
 // w = sqrt(phi).  If two accounts' cells differ by >= 2 along any axis,
 // that coordinate pair differs by at least w, so one endpoint term alone is
-// >= w^2 = phi, hence D >= phi and the pair can never be an edge.  Every
-// pair with endpoint bound < phi therefore lies within Chebyshev cell
-// distance <= 1 (the 3^4 neighbor box); blocking visits exactly the box
-// pairs and emits those whose bound (candidate/features.h) is < phi.  It
-// never drops a true edge, only pairs the cascade's endpoint stage would
-// have discarded anyway.
+// >= w^2 = phi, hence D >= phi and the pair can never be an edge.
 //
-// Layout.  The accounts are sorted once by packed cell key into a CSR cell
-// table (one key per occupied cell plus start offsets into the sorted
-// accounts).  The box of a cell is its own members, the next cell
-// (0,0,0,+1) and the contiguous dy_last in {-1,0,+1} run of each of the 13
-// forward (dx_first, dx_last, dy_first) rows; one monotone cursor per row
-// walks the table, so every neighboring cell pair is visited once with no
-// hashing and no per-cell allocation.
+// The blocking bound of a pair is, per DTW term,
+//     max(endpoint term, extremes_bound)            (candidate/features.h)
+// summed over the task and time terms.  Both parts are summands of the
+// cascade's stage-1/2 bounds in floating point, so a pair blocking drops
+// is one the cascade's endpoint or envelope stage would drop too.
+//
+// Layout.  The accounts are sorted once by packed 128-bit cell key (and
+// id).  A *slab* is a run of equal (x_first, x_last) cells — equal high 64
+// bits of the key — and inside a slab the members are ordered by
+// (y_first cell, y_last cell, id).  A slab can only meet itself, the next
+// slab (0, +1) and the (+1, -1..+1) run, so one cursor per slab finds that
+// run.  A slab pair whose coordinate boxes already put every member pair's
+// endpoint bound at >= phi is skipped whole (all four squared box gaps;
+// only the x_first and y_first gaps when both slabs hold a singleton, the
+// collapsed one-term rule).  Inside a surviving slab pair, each member's
+// partners with y_first cell within +-1 form a contiguous run that two
+// pointers find; every pair of that run gets the blocking bound.
 //
 // Cell coordinates are clamped to +-2^30 and accounts with a non-finite
 // endpoint are skipped (their bound is never < phi).  Clamping only merges
-// cells, so it can add box pairs but never drop one.
+// cells, so it can add window pairs but never drop one.
 //
-// Cost: O(n log n) to sort + O(occupied cells * 14 + box pairs) to walk —
-// no n^2 term.  Degenerate data (everything in one cell) degrades to the
-// all-pairs bound sweep, never to a wrong answer.
+// Cost: a stable LSD radix sort, one O(n) pass per key byte that varies,
+// + O(slabs + window pairs) to walk, all scratch borrowed from the
+// workspace — no n^2 term and no per-slab allocation.
+// Degenerate data (everything in one cell) degrades to the all-pairs bound
+// sweep, never to a wrong answer.
 #pragma once
 
 #include <cstddef>
@@ -45,18 +51,18 @@
 namespace sybiltd::candidate {
 
 struct BlockingStats {
-  std::size_t accounts = 0;        // accounts placed in the grid
-  std::size_t occupied_cells = 0;  // distinct grid cells
-  std::size_t largest_cell = 0;    // accounts in the fullest cell
-  std::size_t box_pairs = 0;       // unordered pairs in the 3^4 box
-  std::size_t candidates = 0;      // box pairs emitted (bound < phi)
+  std::size_t accounts = 0;    // accounts placed in the grid
+  std::size_t slabs = 0;       // distinct (x_first, x_last) cells
+  std::size_t box_pairs = 0;   // pairs in the walked y_first windows
+  std::size_t candidates = 0;  // window pairs emitted (bound < phi)
 };
 
 // Unordered pairs (i < j) packed as (i << 32) | j, sorted ascending — the
 // lexicographic order of an all-pairs loop, so the output (and the
-// cascade's per-pair work and counters) is deterministic.  Accounts with
-// empty series are skipped (they are never edges).  phi <= 0 admits no
-// edge at all, so the candidate list is empty.
+// cascade's per-pair work and counters) is deterministic.  The output is
+// exactly the pairs of non-empty series with finite endpoints whose
+// blocking bound is below phi.  phi <= 0 admits no edge at all, so the
+// candidate list is empty.
 std::vector<std::uint64_t> endpoint_grid_candidates(
     std::span<const TrajectoryFingerprint> fingerprints, double phi,
     BlockingStats* stats = nullptr);

@@ -14,6 +14,7 @@
 // cascade exact (see docs/GROUPING.md).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <span>
@@ -65,6 +66,24 @@ inline EndpointBound endpoint_bound(const EndpointPoint& a,
     bound.time += dyl * dyl;
   }
   return bound;
+}
+
+// The extremes bound of one DTW term, from the two series' [lo, hi]
+// envelopes: max((lo_a - lo_b)^2, (hi_a - hi_b)^2).  If lo_a < lo_b, the
+// element of A equal to lo_a lies below B's envelope, so envelope_bound(A,
+// B) holds (lo_b - lo_a)^2 as one of its summands (and symmetrically for
+// hi and for B).  The squared gap is that summand bit for bit, and a sum of
+// non-negative terms never rounds below one of them, so this value never
+// exceeds the cascade's envelope stage.  A gap between equal infinite
+// extremes is NaN; the envelope counts nothing there, so it is 0 here,
+// which also keeps NaN out of every std::max.
+inline double extremes_bound(double lo_a, double hi_a, double lo_b,
+                             double hi_b) {
+  const double dlo = lo_a - lo_b;
+  const double dhi = hi_a - hi_b;
+  const double lo_term = std::isnan(dlo) ? 0.0 : dlo * dlo;
+  const double hi_term = std::isnan(dhi) ? 0.0 : dhi * dhi;
+  return lo_term < hi_term ? hi_term : lo_term;
 }
 
 // One fingerprint per account: profiles of the task-index series and the

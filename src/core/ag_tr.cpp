@@ -26,14 +26,17 @@ struct AgTrMetrics {
   obs::Counter& pairs = obs::MetricsRegistry::global().counter(
       "agtr.pairs", "unordered account pairs considered by AG-TR");
   obs::Counter& blocked = obs::MetricsRegistry::global().counter(
-      "agtr.blocked", "pairs outside the endpoint grid's neighbor box");
+      "agtr.blocked",
+      "pairs outside the walked windows of neighboring endpoint slabs");
   obs::Counter& candidates = obs::MetricsRegistry::global().counter(
-      "agtr.candidates", "pairs in the endpoint grid's neighbor box");
+      "agtr.candidates",
+      "pairs in the walked windows of neighboring endpoint slabs");
   obs::Counter& lb_pruned = obs::MetricsRegistry::global().counter(
       "agtr.lb_pruned", "pairs discarded by the DTW lower bound");
   obs::Counter& endpoint_pruned = obs::MetricsRegistry::global().counter(
       "agtr.cascade.endpoint_pruned",
-      "box pairs dropped by the endpoint bound inside blocking");
+      "window pairs dropped inside blocking by the endpoint and extremes "
+      "bounds");
   obs::Counter& envelope_pruned = obs::MetricsRegistry::global().counter(
       "agtr.cascade.envelope_pruned",
       "cascade prunes at the whole-series envelope stage");
@@ -42,8 +45,11 @@ struct AgTrMetrics {
       "cascade prunes at the strict LB_Keogh stage");
   obs::Counter& task_abandoned = obs::MetricsRegistry::global().counter(
       "agtr.task_abandoned", "pairs abandoned after the task-series DTW");
+  obs::Counter& upper_bound_accepted = obs::MetricsRegistry::global().counter(
+      "agtr.cascade.upper_bound_accepted",
+      "edges accepted by the diagonal upper bound without a DTW DP");
   obs::Counter& exact_pairs = obs::MetricsRegistry::global().counter(
-      "agtr.exact_pairs", "pairs that ran both exact DTW terms");
+      "agtr.exact_pairs", "pairs that ran both DTW DPs");
 
   static AgTrMetrics& get() {
     static AgTrMetrics metrics;
@@ -80,7 +86,8 @@ candidate::SeriesTable AgTr::series_table(const FrameworkInput& input) {
   table.time.reserve(total);
   for (const auto& account : input.accounts) {
     for (const auto& report : account.reports) {
-      table.task.push_back(static_cast<double>(report.task + 1));
+      table.task.push_back(static_cast<double>(
+          checked_task_id(report.task, input.task_count) + 1));
       table.time.push_back(report.timestamp_hours);
     }
     table.offset.push_back(table.task.size());
@@ -157,8 +164,8 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
   // Candidate pairs in lexicographic (i, j) order; the serial union-find
   // pass below reads the components off the edges, so the grouping is the
   // same at every thread count.  Blocking visits only the pairs that could
-  // have D < phi and emits those the endpoint bound does not already rule
-  // out; the pairs it drops count as endpoint prunes.
+  // have D < phi and emits those its endpoint and extremes bounds do not
+  // already rule out; the pairs it drops count as endpoint prunes.
   std::vector<std::uint64_t> pairs;
   std::size_t endpoint_dropped = 0;
   if (bounded) {
@@ -213,6 +220,7 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
   local.envelope_pruned = cascade_stats.envelope_pruned;
   local.keogh_pruned = cascade_stats.keogh_pruned;
   local.task_abandoned = cascade_stats.task_abandoned;
+  local.upper_bound_accepted = cascade_stats.upper_bound_accepted;
   local.exact_pairs = cascade_stats.exact_pairs;
 
   auto& metrics = AgTrMetrics::get();
@@ -224,6 +232,7 @@ AccountGrouping AgTr::group_with_stats(const FrameworkInput& input,
   metrics.envelope_pruned.inc(local.envelope_pruned);
   metrics.keogh_pruned.inc(local.keogh_pruned);
   metrics.task_abandoned.inc(local.task_abandoned);
+  metrics.upper_bound_accepted.inc(local.upper_bound_accepted);
   metrics.exact_pairs.inc(local.exact_pairs);
   if (stats != nullptr) *stats = local;
   return AccountGrouping::from_labels(uf.labels());

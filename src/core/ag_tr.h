@@ -13,12 +13,14 @@
 // total-cost mode (it reproduces Fig. 4 exactly) and expose Eq. (7)
 // normalization as an option for the ablation bench.
 //
-// Evaluation: in total-cost mode group() asks endpoint-grid blocking
+// Evaluation: in total-cost mode group() asks endpoint-slab blocking
 // (candidate/blocking.h) for the only pairs that could have D < phi and
-// runs each through the lower-bound cascade (candidate/cascade.h) before
-// the exact DP — the same edges as an all-pairs sweep, at every n (see
-// docs/GROUPING.md).  The bounds do not hold for Eq. (7), so that mode
-// evaluates every pair exactly.
+// runs each through the bound cascade (candidate/cascade.h): lower bounds
+// first, then the diagonal upper bound, and the exact DP only for the
+// pairs no bound settles — the same edges as an all-pairs sweep, at every
+// n (see docs/GROUPING.md).  The bounds do not hold for Eq. (7), so that
+// mode evaluates every pair exactly.  Report task ids are checked against
+// task_count (series_table throws std::invalid_argument otherwise).
 #pragma once
 
 #include <span>
@@ -43,20 +45,23 @@ struct AgTrOptions {
 
 // Counters from one group() run, for the scalability/parallel benches.
 // The funnel reads top to bottom: of `pairs` total, `blocked` lie outside
-// the blocking grid's 3^4 neighbor box, `candidates` are the box pairs,
-// the `*_pruned` stages discarded their share (`endpoint_pruned` counts the
-// box pairs blocking drops by the endpoint bound before they reach the
-// cascade), `task_abandoned` stopped after one DP, and `exact_pairs` ran
-// both.  Eq. (7) mode blocks and prunes nothing.
+// the y_first windows blocking walks in neighboring endpoint slabs (or in
+// slab pairs its box bound skips whole), `candidates` are the window
+// pairs, the `*_pruned` stages discarded their share (`endpoint_pruned`
+// counts the window pairs blocking drops by its endpoint and extremes
+// bounds before they reach the cascade), `upper_bound_accepted` became
+// edges with no DP, `task_abandoned` stopped after one DP, and
+// `exact_pairs` ran both.  Eq. (7) mode blocks and prunes nothing.
 struct AgTrStats {
   std::size_t pairs = 0;           // unordered pairs considered
-  std::size_t blocked = 0;         // excluded by endpoint-grid blocking
-  std::size_t candidates = 0;      // pairs in the blocking box
+  std::size_t blocked = 0;         // excluded by endpoint-slab blocking
+  std::size_t candidates = 0;      // pairs in the blocking windows
   std::size_t lb_pruned = 0;       // excluded by the lower-bound cascade
   std::size_t endpoint_pruned = 0;  //   ... at the O(1) endpoint stage
   std::size_t envelope_pruned = 0;  //   ... at the envelope stage
   std::size_t keogh_pruned = 0;     //   ... at the strict LB_Keogh stage
   std::size_t task_abandoned = 0;  // excluded after the task-series DTW alone
+  std::size_t upper_bound_accepted = 0;  // edges by the diagonal upper bound
   std::size_t exact_pairs = 0;     // pairs that ran both DTW evaluations
 };
 
@@ -77,6 +82,7 @@ class AgTr final : public AccountGrouper {
   // Timestamp series in hours.
   static std::vector<double> timestamp_series(const AccountTrace& account);
   // Both series of every account in one flat table, in account order.
+  // Throws std::invalid_argument for a report task >= input.task_count.
   static candidate::SeriesTable series_table(const FrameworkInput& input);
 
   // Full pairwise dissimilarity matrices, exposed for the Fig. 4 bench.

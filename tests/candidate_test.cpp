@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -48,38 +49,118 @@ core::FrameworkInput scenario_input(std::size_t legit, std::size_t attackers,
 
 // --- Blocking --------------------------------------------------------------
 
+// Test-local restatement of blocking's bound.  Per DTW term: the larger of
+// the endpoint bound and the squared gaps between the two series' minima
+// and between their maxima (NaN elements take no part in either extreme,
+// and a gap between equal infinities counts 0, as in the cascade's
+// envelope); the task and time terms are summed.
+double squared_gap(double a, double b) {
+  const double d = a - b;
+  return std::isnan(d) ? 0.0 : d * d;
+}
+
+double term_bound(const std::vector<double>& a, const std::vector<double>& b) {
+  const double inf = std::numeric_limits<double>::infinity();
+  double lo_a = inf, hi_a = -inf, lo_b = inf, hi_b = -inf;
+  for (const double v : a) {
+    if (v < lo_a) lo_a = v;
+    if (v > hi_a) hi_a = v;
+  }
+  for (const double v : b) {
+    if (v < lo_b) lo_b = v;
+    if (v > hi_b) hi_b = v;
+  }
+  return std::max({dtw::endpoint_lower_bound(a, b), squared_gap(lo_a, lo_b),
+                   squared_gap(hi_a, hi_b)});
+}
+
+bool finite_endpoints(const std::vector<double>& x,
+                      const std::vector<double>& y) {
+  return std::isfinite(x.front()) && std::isfinite(x.back()) &&
+         std::isfinite(y.front()) && std::isfinite(y.back());
+}
+
+// Brute force of what blocking must emit: every pair i < j of non-empty
+// series with finite endpoints whose blocking bound is below phi.
+std::vector<std::uint64_t> pairs_below_blocking_bound(
+    const std::vector<std::vector<double>>& xs,
+    const std::vector<std::vector<double>>& ys, double phi) {
+  std::vector<std::uint64_t> pairs;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (xs[i].empty() || !finite_endpoints(xs[i], ys[i])) continue;
+    for (std::size_t j = i + 1; j < xs.size(); ++j) {
+      if (xs[j].empty() || !finite_endpoints(xs[j], ys[j])) continue;
+      if (term_bound(xs[i], xs[j]) + term_bound(ys[i], ys[j]) < phi) {
+        pairs.push_back(candidate::pack_pair(i, j));
+      }
+    }
+  }
+  return pairs;
+}
+
+// Blocking's extremes bound never outruns the cascade: every pair whose
+// endpoint bound is below phi but that blocking drops must be one the
+// cascade's envelope stage prunes.  Returns how many such pairs there were.
+std::size_t expect_drops_pruned_by_envelope(
+    const candidate::SeriesTable& series,
+    const std::vector<candidate::TrajectoryFingerprint>& fps,
+    const std::vector<std::uint64_t>& emitted, double phi,
+    const std::string& where) {
+  const std::set<std::uint64_t> kept(emitted.begin(), emitted.end());
+  const candidate::LbCascade cascade(series, fps,
+                                     candidate::CascadeOptions{.phi = phi, .dtw = {}});
+  std::size_t dropped = 0;
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    for (std::size_t j = i + 1; j < fps.size(); ++j) {
+      if (kept.count(candidate::pack_pair(i, j)) > 0) continue;
+      if (fps[i].empty() || fps[j].empty()) continue;
+      const auto ei = fps[i].endpoints(), ej = fps[j].endpoints();
+      if (!(candidate::endpoint_bound(ei, ej).total() < phi)) continue;
+      double d = -1.0;
+      EXPECT_EQ(cascade.evaluate(i, j, &d),
+                candidate::CascadeOutcome::kEnvelopePruned)
+          << where << " pair (" << i << ", " << j << ")";
+      ++dropped;
+    }
+  }
+  return dropped;
+}
+
 TEST(EndpointGrid, DroppedPairsAreProvablyBeyondPhi) {
   const auto input = scenario_input(60, 5, 4, 20, 7);
   const std::size_t n = input.accounts.size();
   std::vector<std::vector<double>> xs(n), ys(n);
-  std::vector<candidate::TrajectoryFingerprint> fps(n);
+  candidate::SeriesTable series;
   for (std::size_t i = 0; i < n; ++i) {
     xs[i] = core::AgTr::task_series(input.accounts[i]);
     ys[i] = core::AgTr::timestamp_series(input.accounts[i]);
-    fps[i].task = candidate::profile_of(xs[i]);
-    fps[i].time = candidate::profile_of(ys[i]);
+    series.append(xs[i], ys[i]);
   }
+  const auto fps = candidate::fingerprints_of(series);
   const double phi = 1.0;
   candidate::BlockingStats stats;
   const auto pairs = candidate::endpoint_grid_candidates(fps, phi, &stats);
   EXPECT_EQ(stats.candidates, pairs.size());
-  EXPECT_GT(stats.occupied_cells, 0u);
+  EXPECT_GT(stats.slabs, 0u);
   // Sorted and unique — the deterministic order the documentation promises.
   for (std::size_t k = 1; k < pairs.size(); ++k) {
     EXPECT_LT(pairs[k - 1], pairs[k]);
   }
+  EXPECT_EQ(pairs, pairs_below_blocking_bound(xs, ys, phi));
   std::set<std::uint64_t> emitted(pairs.begin(), pairs.end());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       if (emitted.count(candidate::pack_pair(i, j)) > 0) continue;
       if (xs[i].empty() || xs[j].empty()) continue;  // excluded by design
-      // Every dropped pair must already be unreachable from phi by the
-      // endpoint bound alone — the grid's exactness invariant.
-      const double bound = dtw::endpoint_lower_bound(xs[i], xs[j]) +
-                           dtw::endpoint_lower_bound(ys[i], ys[j]);
-      EXPECT_GE(bound, phi) << "pair (" << i << ", " << j << ")";
+      // Every dropped pair is unreachable from phi: its exact
+      // dissimilarity is at or beyond it.
+      const double exact = dtw::dtw_total_cost(xs[i], xs[j]) +
+                           dtw::dtw_total_cost(ys[i], ys[j]);
+      EXPECT_GE(exact, phi) << "pair (" << i << ", " << j << ")";
     }
   }
+  EXPECT_GT(expect_drops_pruned_by_envelope(series, fps, pairs, phi, "scenario"),
+            0u);
 }
 
 TEST(EndpointGrid, NonPositivePhiEmitsNothing) {
@@ -93,31 +174,16 @@ TEST(EndpointGrid, NonPositivePhiEmitsNothing) {
   EXPECT_TRUE(candidate::endpoint_grid_candidates(fps, -1.0).empty());
 }
 
-// Brute force of what blocking must emit: every pair i < j of non-empty
-// series whose endpoint bound (both DTW terms) is below phi.
-std::vector<std::uint64_t> pairs_below_endpoint_bound(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::vector<double>>& ys, double phi) {
-  std::vector<std::uint64_t> pairs;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    for (std::size_t j = i + 1; j < xs.size(); ++j) {
-      if (xs[i].empty() || xs[j].empty()) continue;
-      if (dtw::endpoint_lower_bound(xs[i], xs[j]) +
-              dtw::endpoint_lower_bound(ys[i], ys[j]) <
-          phi) {
-        pairs.push_back(candidate::pack_pair(i, j));
-      }
-    }
-  }
-  return pairs;
-}
-
-// Blocking visits the 3^4 box and emits exactly the box pairs whose
-// endpoint bound is below phi, so its output must equal the all-pairs
-// list above.  Two inputs: random short trajectories over small task
-// indices and negative-to-positive timestamps, with empty accounts,
-// singletons (the collapsed one-term rule) and near-clones; and a tight
-// cluster that falls in a single cell at phi = 25.
+// Blocking walks the slab windows and emits exactly the window pairs whose
+// blocking bound is below phi, so its output must equal the all-pairs list
+// above.  Inputs: random short trajectories over small task indices and
+// negative-to-positive timestamps, with empty accounts, singletons (the
+// collapsed one-term rule) and near-clones; a tight cluster that falls in
+// a single cell at phi = 25; a few-task, long-window campaign (4 tasks,
+// 200 hours, 1-4-task schedules); singleton pairs in neighboring slabs
+// that only the collapsed box rule keeps; values at and beyond the +-2^30
+// cell clamp; and NaN and +-inf interior values.  phi = 0.25, 1 and 16 put
+// the cell width below, at and above the integer task spacing.
 TEST(EndpointGrid, EmitsExactlyThePairsBelowTheEndpointBound) {
   std::mt19937_64 rng(18);
   std::uniform_int_distribution<std::size_t> length(0, 5);
@@ -167,32 +233,103 @@ TEST(EndpointGrid, EmitsExactlyThePairsBelowTheEndpointBound) {
     cluster_ys.push_back(y);
   }
 
+  // 4 tasks over 200 hours: every slab is crowded and only the time axes
+  // keep the windows selective.  Every tenth account replays the one
+  // before it a few minutes later.
+  std::vector<std::vector<double>> long_xs, long_ys;
+  std::uniform_int_distribution<std::size_t> schedule(1, 4);
+  std::uniform_real_distribution<double> start(0.0, 200.0);
+  std::uniform_real_distribution<double> step(0.05, 0.3);
+  for (std::size_t i = 0; i < 400; ++i) {
+    std::vector<double> x, y;
+    if (i % 10 == 9) {
+      x = long_xs.back();
+      y = long_ys.back();
+      const double shift = jitter(rng);
+      for (double& h : y) h += shift;
+    } else {
+      std::vector<double> tasks{1.0, 2.0, 3.0, 4.0};
+      std::shuffle(tasks.begin(), tasks.end(), rng);
+      double h = start(rng);
+      for (std::size_t k = schedule(rng); k > 0; --k) {
+        x.push_back(tasks[k - 1]);
+        y.push_back(h);
+        h += step(rng);
+      }
+    }
+    long_xs.push_back(x);
+    long_ys.push_back(y);
+  }
+
+  // Singletons in neighboring slabs: the four-term box gap would reach
+  // phi, the collapsed one-term rule keeps them (bounds 0.1625 at 0.25,
+  // 0.52 at 1, 13 at 16).  A twin and a two-element series share slabs
+  // with some of them.
+  const std::vector<std::vector<double>> singleton_xs = {
+      {40.4}, {40.6}, {30.8}, {31.2}, {19.0}, {22.0}, {22.0}, {22.0, 22.0}};
+  const std::vector<std::vector<double>> singleton_ys = {
+      {0.0}, {0.35}, {0.0}, {0.6}, {0.0}, {2.0}, {2.0}, {2.0, 2.1}};
+
+  // The cell clamp: +-1e300 twins far beyond it, values either side of
+  // 2^30 cells, a pair merged into the clamped cell whose bound overflows,
+  // and timestamps at 1e300.
+  const double big = 1073741824.0;  // 2^30
+  const std::vector<std::vector<double>> clamp_xs = {
+      {1e300, 1e300}, {1e300, 1e300}, {-1e300}, {-1e300},
+      {big - 0.5},    {big + 0.2},    {big + 0.6}, {big + 3.0},
+      {1.0, 2.0},     {1.0, 2.0},     {-big - 0.3}, {-big - 0.1}};
+  const std::vector<std::vector<double>> clamp_ys = {
+      {0.0, 1.0},     {0.1, 1.1},     {2.0},      {2.3},
+      {0.0},          {0.0},          {0.1},      {0.0},
+      {1e300, 1e300}, {1e300, 1e300}, {5.0},      {5.2}};
+
+  // Non-finite interior values with finite endpoints: they move only the
+  // extremes (NaN takes no part), so twins with the same infinity must
+  // still be emitted, and a one-sided infinity must be dropped.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> nonfinite_xs = {
+      {1.0, inf, 2.0},  {1.0, inf, 2.0},  {1.0, -inf, 2.0}, {1.0, -inf, 2.0},
+      {1.0, 1.5, 2.0},  {1.0, nan, 2.0},  {1.0, 2.0},       {1.0, 3.0, 2.0},
+      {1.0, 2.0, 2.0},  {1.0, 2.0, 2.0}};
+  const std::vector<std::vector<double>> nonfinite_ys = {
+      {0.0, 0.5, 1.0},  {0.1, 0.5, 1.0},  {0.0, 0.5, 1.0},  {0.0, 0.4, 1.0},
+      {0.0, 0.5, 1.0},  {0.0, 0.5, 1.0},  {0.0, 1.0},       {0.0, nan, 1.0},
+      {0.0, inf, 1.0},  {0.0, inf, 1.1}};
+
   const struct {
     const char* name;
     const std::vector<std::vector<double>>& xs;
     const std::vector<std::vector<double>>& ys;
     bool one_cell_at_25;
   } cases[] = {{"random", random_xs, random_ys, false},
-               {"one cell", cluster_xs, cluster_ys, true}};
+               {"one cell", cluster_xs, cluster_ys, true},
+               {"4 tasks 200 h", long_xs, long_ys, false},
+               {"singletons", singleton_xs, singleton_ys, false},
+               {"clamp", clamp_xs, clamp_ys, false},
+               {"non-finite interior", nonfinite_xs, nonfinite_ys, false}};
   for (const auto& c : cases) {
     candidate::SeriesTable series;
     for (std::size_t i = 0; i < c.xs.size(); ++i) {
       series.append(c.xs[i], c.ys[i]);
     }
     const auto fps = candidate::fingerprints_of(series);
-    for (const double phi : {0.01, 1.0, 25.0}) {
+    for (const double phi : {0.01, 0.25, 1.0, 16.0, 25.0}) {
+      const std::string where =
+          std::string(c.name) + " phi " + std::to_string(phi);
       candidate::BlockingStats stats;
       const auto pairs = candidate::endpoint_grid_candidates(fps, phi, &stats);
-      const auto expected = pairs_below_endpoint_bound(c.xs, c.ys, phi);
-      EXPECT_FALSE(expected.empty()) << c.name << " phi " << phi;
-      EXPECT_EQ(pairs, expected) << c.name << " phi " << phi;
+      const auto expected = pairs_below_blocking_bound(c.xs, c.ys, phi);
+      EXPECT_FALSE(expected.empty()) << where;
+      EXPECT_EQ(pairs, expected) << where;
       EXPECT_EQ(stats.candidates, pairs.size());
       EXPECT_GE(stats.box_pairs, stats.candidates);
+      expect_drops_pruned_by_envelope(series, fps, pairs, phi, where);
     }
     if (c.one_cell_at_25) {
       candidate::BlockingStats stats;
       (void)candidate::endpoint_grid_candidates(fps, 25.0, &stats);
-      EXPECT_EQ(stats.occupied_cells, 1u);
+      EXPECT_EQ(stats.slabs, 1u);
       EXPECT_EQ(stats.box_pairs, 40u * 39u / 2u);
     }
   }
@@ -229,6 +366,12 @@ TEST(LbCascade, PrunesOnlyPairsBeyondPhiAndReturnsExactValues) {
                            dtw::dtw_total_cost(ys[i], ys[j], {});
       if (outcome == candidate::CascadeOutcome::kExact) {
         EXPECT_DOUBLE_EQ(d, exact);
+      } else if (outcome == candidate::CascadeOutcome::kUpperBoundAccepted) {
+        // An accepted pair is an edge, and d is the diagonal cost: an upper
+        // bound on the exact value, below phi.
+        EXPECT_LT(exact, options.phi);
+        EXPECT_LT(d, options.phi);
+        EXPECT_GE(d, exact);
       } else {
         // Every prune stage is a valid lower bound: a discarded pair's true
         // dissimilarity really is at or beyond phi.
@@ -241,6 +384,104 @@ TEST(LbCascade, PrunesOnlyPairsBeyondPhiAndReturnsExactValues) {
   EXPECT_GT(stats.endpoint_pruned + stats.envelope_pruned, 0u);
   EXPECT_GT(stats.exact_pairs, 0u);
   EXPECT_EQ(stats.evaluated, n * (n - 1) / 2);
+}
+
+// The diagonal upper bound decides exactly as the DP does next to phi.
+// Equal-length pairs, mostly small perturbations of each other (so the
+// diagonal is the optimal path and U equals D), with phi within 1e-9
+// relative of the exact D on both sides, one ulp away, and at D itself:
+// the decision must equal dtw_total_cost(X) + dtw_total_cost(Y) < phi at
+// band 0 and band 2.  Inside the margin the DP runs; phi exactly at the
+// inflated bound is not an accept, one ulp above it is.
+TEST(LbCascade, UpperBoundDecisionMatchesDtwNearPhi) {
+  std::mt19937_64 rng(77);
+  std::uniform_int_distribution<std::size_t> length(1, 10);
+  std::uniform_real_distribution<double> task(1.0, 8.0);
+  std::uniform_real_distribution<double> hour(0.0, 5.0);
+  std::normal_distribution<double> small(0.0, 0.05);
+  std::normal_distribution<double> large(0.0, 1.0);
+  candidate::SeriesTable series;
+  std::vector<std::vector<double>> xs, ys;
+  const std::size_t pairs = 120;
+  for (std::size_t t = 0; t < pairs; ++t) {
+    const std::size_t len = length(rng);
+    std::vector<double> xi(len), yi(len);
+    for (std::size_t k = 0; k < len; ++k) {
+      xi[k] = std::round(task(rng));
+      yi[k] = hour(rng);
+    }
+    std::vector<double> xj = xi, yj = yi;
+    auto& noise = t % 4 == 3 ? large : small;
+    for (std::size_t k = 0; k < len; ++k) {
+      xj[k] += noise(rng);
+      yj[k] += noise(rng);
+    }
+    for (const auto* s : {&xi, &xj}) xs.push_back(*s);
+    for (const auto* s : {&yi, &yj}) ys.push_back(*s);
+    series.append(xi, yi);
+    series.append(xj, yj);
+  }
+  const auto fps = candidate::fingerprints_of(series);
+  using candidate::CascadeOutcome;
+  std::size_t accepted = 0, inside_margin = 0;
+  for (const std::size_t band : {0ul, 2ul}) {
+    const dtw::DtwOptions dtw_options{.band = band};
+    for (std::size_t t = 0; t < pairs; ++t) {
+      const std::size_t i = 2 * t, j = 2 * t + 1;
+      const double exact = dtw::dtw_total_cost(xs[i], xs[j], dtw_options) +
+                           dtw::dtw_total_cost(ys[i], ys[j], dtw_options);
+      ASSERT_GT(exact, 0.0);
+      std::vector<double> phis;
+      for (const double rel : {1e-9, 1e-10, 1e-12, 1e-14}) {
+        phis.push_back(exact * (1.0 + rel));
+        phis.push_back(exact * (1.0 - rel));
+      }
+      phis.push_back(exact);
+      phis.push_back(std::nextafter(exact, 0.0));
+      phis.push_back(std::nextafter(exact, 1e300));
+      for (const double phi : phis) {
+        const candidate::LbCascade cascade(
+            series, fps, candidate::CascadeOptions{.phi = phi, .dtw = dtw_options});
+        double d = std::numeric_limits<double>::infinity();
+        const CascadeOutcome outcome = cascade.evaluate(i, j, &d);
+        const bool edge = outcome == CascadeOutcome::kUpperBoundAccepted ||
+                          (outcome == CascadeOutcome::kExact && d < phi);
+        EXPECT_EQ(edge, exact < phi)
+            << "pair " << t << " band " << band << " phi " << phi;
+        if (outcome == CascadeOutcome::kUpperBoundAccepted) ++accepted;
+        if (outcome == CascadeOutcome::kExact && d < phi) ++inside_margin;
+      }
+      // The acceptance threshold itself: strict.
+      double upper = 0.0;
+      for (std::size_t k = 0; k < xs[i].size(); ++k) {
+        upper += (xs[i][k] - xs[j][k]) * (xs[i][k] - xs[j][k]);
+      }
+      double upper_y = 0.0;
+      for (std::size_t k = 0; k < ys[i].size(); ++k) {
+        upper_y += (ys[i][k] - ys[j][k]) * (ys[i][k] - ys[j][k]);
+      }
+      upper += upper_y;
+      const double at = candidate::inflated_upper_bound(upper, xs[i].size());
+      double d = 0.0;
+      EXPECT_NE(candidate::LbCascade(series, fps,
+                                     candidate::CascadeOptions{
+                                         .phi = at, .dtw = dtw_options})
+                    .evaluate(i, j, &d),
+                CascadeOutcome::kUpperBoundAccepted)
+          << "pair " << t << " band " << band;
+      EXPECT_EQ(candidate::LbCascade(
+                    series, fps,
+                    candidate::CascadeOptions{
+                        .phi = std::nextafter(at, 1e300), .dtw = dtw_options})
+                    .evaluate(i, j, &d),
+                CascadeOutcome::kUpperBoundAccepted)
+          << "pair " << t << " band " << band;
+      EXPECT_EQ(d, upper);
+    }
+  }
+  // Both sides of the margin are exercised.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(inside_margin, 0u);
 }
 
 // --- AG-TR -----------------------------------------------------------------
@@ -319,8 +560,8 @@ TEST(AgTrCandidates, FunnelCountersAreConsistent) {
   EXPECT_EQ(stats.lb_pruned,
             stats.endpoint_pruned + stats.envelope_pruned +
                 stats.keogh_pruned);
-  EXPECT_EQ(stats.candidates, stats.lb_pruned + stats.task_abandoned +
-                                  stats.exact_pairs);
+  EXPECT_EQ(stats.candidates, stats.lb_pruned + stats.upper_bound_accepted +
+                                  stats.task_abandoned + stats.exact_pairs);
 }
 
 // Non-finite and extreme timestamps.  A NaN or infinite endpoint keeps an
@@ -373,9 +614,13 @@ TEST(AgTrCandidates, ExtremeTimestampsMatchAllPairs) {
   }
 }
 
-// Test-local recount of the AG-TR funnel: every pair of non-empty series
-// within Chebyshev cell distance <= 1 on the sqrt(phi) endpoint grid is a
-// box pair, classified by the first cascade stage whose bound reaches phi.
+// Test-local recount of the AG-TR funnel.  A window pair is a pair of
+// non-empty series with finite endpoints whose cells on the sqrt(phi) grid
+// are within +-1 on x_first, x_last and y_first, unless their slabs (the
+// (x_first, x_last) cells) differ and the slabs' endpoint boxes already put
+// the endpoint bound at >= phi.  Each window pair is classified by the
+// first stage that settles it: the blocking bound, the cascade's lower
+// bounds, the diagonal upper bound, then the DTW DPs.
 core::AgTrStats recount_funnel(const core::FrameworkInput& input,
                                const core::AgTrOptions& opt) {
   const std::size_t n = input.accounts.size();
@@ -391,6 +636,46 @@ core::AgTrStats recount_funnel(const core::FrameworkInput& input,
   const auto near = [&](double a, double b) {
     return std::abs(cell(a) - cell(b)) <= 1;
   };
+  // Each slab's box over (x_first, x_last, y_first, y_last) and whether it
+  // holds a singleton.
+  struct Box {
+    std::array<double, 4> lo, hi;
+    bool singleton = false;
+  };
+  const auto ends = [&](std::size_t i) {
+    return std::array<double, 4>{xs[i].front(), xs[i].back(), ys[i].front(),
+                                 ys[i].back()};
+  };
+  const auto slab = [&](std::size_t i) {
+    return std::make_pair(cell(xs[i].front()), cell(xs[i].back()));
+  };
+  std::map<std::pair<std::int64_t, std::int64_t>, Box> boxes;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (xs[i].empty()) continue;
+    const auto e = ends(i);
+    auto [it, fresh] = boxes.try_emplace(slab(i), Box{e, e});
+    for (std::size_t k = 0; k < 4; ++k) {
+      it->second.lo[k] = std::min(it->second.lo[k], e[k]);
+      it->second.hi[k] = std::max(it->second.hi[k], e[k]);
+    }
+    it->second.singleton |= xs[i].size() == 1;
+  }
+  const auto box_bound = [](const Box& a, const Box& b) {
+    std::array<double, 4> g{};
+    for (std::size_t k = 0; k < 4; ++k) {
+      g[k] = b.lo[k] > a.hi[k]   ? b.lo[k] - a.hi[k]
+             : a.lo[k] > b.hi[k] ? a.lo[k] - b.hi[k]
+                                 : 0.0;
+    }
+    if (a.singleton && b.singleton) return g[0] * g[0] + g[2] * g[2];
+    return (g[0] * g[0] + g[1] * g[1]) + (g[2] * g[2] + g[3] * g[3]);
+  };
+  const auto diagonal = [](const std::vector<double>& a,
+                           const std::vector<double>& b) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < a.size(); ++k) sum += (a[k] - b[k]) * (a[k] - b[k]);
+    return sum;
+  };
   core::AgTrStats s;
   s.pairs = n * (n - 1) / 2;
   for (std::size_t i = 0; i < n; ++i) {
@@ -398,12 +683,16 @@ core::AgTrStats recount_funnel(const core::FrameworkInput& input,
       const auto &xi = xs[i], &xj = xs[j], &yi = ys[i], &yj = ys[j];
       if (xi.empty() || xj.empty()) continue;
       if (!near(xi.front(), xj.front()) || !near(xi.back(), xj.back()) ||
-          !near(yi.front(), yj.front()) || !near(yi.back(), yj.back())) {
+          !near(yi.front(), yj.front())) {
+        continue;
+      }
+      if (slab(i) != slab(j) &&
+          box_bound(boxes.at(slab(i)), boxes.at(slab(j))) >= opt.phi) {
         continue;
       }
       ++s.candidates;
-      double bx = dtw::endpoint_lower_bound(xi, xj);
-      double by = dtw::endpoint_lower_bound(yi, yj);
+      double bx = term_bound(xi, xj);
+      double by = term_bound(yi, yj);
       if (bx + by >= opt.phi) {
         ++s.endpoint_pruned;
         continue;
@@ -427,6 +716,12 @@ core::AgTrStats recount_funnel(const core::FrameworkInput& input,
           ++s.keogh_pruned;
           continue;
         }
+      }
+      if (xi.size() == xj.size() &&
+          candidate::inflated_upper_bound(diagonal(xi, xj) + diagonal(yi, yj),
+                                          xi.size()) < opt.phi) {
+        ++s.upper_bound_accepted;
+        continue;
       }
       if (dtw::dtw_total_cost(xi, xj, opt.dtw) >= opt.phi) {
         ++s.task_abandoned;
@@ -463,9 +758,12 @@ TEST(AgTrCandidates, FunnelCountersMatchBruteForceRecount) {
       EXPECT_EQ(stats.envelope_pruned, want.envelope_pruned) << where;
       EXPECT_EQ(stats.keogh_pruned, want.keogh_pruned) << where;
       EXPECT_EQ(stats.task_abandoned, want.task_abandoned) << where;
+      EXPECT_EQ(stats.upper_bound_accepted, want.upper_bound_accepted)
+          << where;
       EXPECT_EQ(stats.exact_pairs, want.exact_pairs) << where;
       EXPECT_GT(want.endpoint_pruned, 0u) << where;
-      EXPECT_GT(want.exact_pairs, 0u) << where;
+      EXPECT_GT(want.upper_bound_accepted, 0u) << where;
+      EXPECT_GT(want.task_abandoned + want.exact_pairs, 0u) << where;
       // At phi = 16 the band is tight enough for LB_Keogh to prune.
       if (band > 0 && phi > 1.0) {
         EXPECT_GT(want.keogh_pruned, 0u) << where;

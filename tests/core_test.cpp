@@ -355,6 +355,19 @@ TEST(AgTr, RejectsNonFinitePhi) {
   }
 }
 
+// A report task beyond task_count is rejected as AG-TS rejects it, not
+// read as task index 10 and grouped.
+TEST(AgTr, RejectsOutOfRangeTaskIds) {
+  const auto input = make_input(4, {{{9, 1.0, 0.0}, {1, 1.0, 0.1}},
+                                    {{9, 1.0, 0.0}, {1, 1.0, 0.1}}});
+  EXPECT_THROW(AgTs().group(input), std::invalid_argument);
+  EXPECT_THROW(AgTr().group(input), std::invalid_argument);
+  EXPECT_THROW(AgTr::series_table(input), std::invalid_argument);
+  AgTrOptions options;
+  options.mode = DtwMode::kPathNormalized;
+  EXPECT_THROW(AgTr(options).group(input), std::invalid_argument);
+}
+
 TEST(AgTr, AccountWithoutReportsBecomesSingleton) {
   auto input = make_input(2, {{{0, 1.0, 0.0}, {1, 1.0, 0.1}},
                               {{0, 1.0, 0.0}, {1, 1.0, 0.1}},
