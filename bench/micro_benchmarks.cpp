@@ -8,15 +8,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_probe.h"
 #include "candidate/blocking.h"
 #include "candidate/features.h"
 #include "candidate/setjoin.h"
@@ -47,30 +45,6 @@
 #include "signal/welch.h"
 #include "simd/simd.h"
 #include "truth/crh.h"
-
-// Replacement global operator new/delete forwarding to malloc/free with an
-// opt-in counter (same idiom as tests/workspace_test.cpp): the decode
-// benchmarks report heap allocations per iteration as `allocs_per_op`, and
-// the CI perf-smoke job asserts it is exactly 0 for BM_ReportDecodeFast —
-// the zero-copy claim is measured, not asserted in prose.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<bool> g_alloc_tracking{false};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_alloc_tracking.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace sybiltd;
 
@@ -111,6 +85,10 @@ void attach_simd_level(benchmark::State& state) {
       static_cast<double>(static_cast<int>(simd::active_level()));
 }
 
+// Heap allocations per iteration, counted by the replacement operator new
+// of tests/alloc_probe.h, as `allocs_per_op`: the CI perf-smoke job holds
+// it at 0 for BM_ReportDecodeFast and BM_GroupData, so a zero-allocation
+// claim is measured, not asserted in prose.
 void attach_alloc_count(benchmark::State& state, std::uint64_t allocs) {
   state.counters["allocs_per_op"] =
       benchmark::Counter(static_cast<double>(allocs),
@@ -326,20 +304,22 @@ void BM_CrhIterate(benchmark::State& state) {
 }
 BENCHMARK(BM_CrhIterate);
 
-// Eqs. (3)-(4) alone.  Arg 2000: the campaign_stream shape — 2,000
-// accounts over 64 tasks, about seven tasks each, 10% of them Sybil
-// accounts in groups of five sharing one schedule.  Arg 10000: 10^4
-// singleton accounts at the same density.  Each call writes into one
-// reused table, the form the streaming shard calls.
-// `allocs_per_op` is the heap allocations per call once the workspace pool
-// and the table are warm; the CI perf-smoke job holds it at 0.
-void BM_GroupData(benchmark::State& state) {
+// The data-grouping campaigns.  2,000 accounts: the campaign_stream shape
+// — 64 tasks, about seven tasks each, 10% of the accounts Sybil accounts
+// in groups of five sharing one schedule.  10,000: 10^4 singleton accounts
+// at the same density, the size of a batch_discovery campaign.
+struct GroupingCampaign {
+  core::FrameworkInput input;
+  core::AccountGrouping grouping;
+};
+
+GroupingCampaign grouping_campaign(std::size_t accounts) {
   constexpr std::size_t kTasks = 64;
   constexpr double kDensity = 0.11;
-  const auto accounts = static_cast<std::size_t>(state.range(0));
   const bool sybil_groups = accounts == 2000;
   Rng rng(16);
-  core::FrameworkInput input;
+  GroupingCampaign out;
+  core::FrameworkInput& input = out.input;
   input.task_count = kTasks;
   input.accounts.resize(accounts);
   std::vector<std::size_t> labels(accounts);
@@ -358,26 +338,61 @@ void BM_GroupData(benchmark::State& state) {
     }
     labels[i] = i < sybils ? i / 5 : sybils / 5 + (i - sybils);
   }
-  const auto grouping = core::AccountGrouping::from_labels(labels);
+  out.grouping = core::AccountGrouping::from_labels(labels);
+  return out;
+}
+
+// Eqs. (3)-(4) alone on a grouping campaign.  Each call writes into one
+// reused table, the form the streaming shard calls.  `allocs_per_op` is
+// the heap allocations per call once the workspace pool and the table are
+// warm; the CI perf-smoke job holds it at 0.
+void BM_GroupData(benchmark::State& state) {
+  const GroupingCampaign campaign =
+      grouping_campaign(static_cast<std::size_t>(state.range(0)));
+  const core::FrameworkInput& input = campaign.input;
   std::vector<core::GroupingReport> flat;
-  for (std::size_t i = 0; i < accounts; ++i) {
+  for (std::size_t i = 0; i < input.accounts.size(); ++i) {
     for (const auto& r : input.accounts[i].reports) {
       flat.push_back({static_cast<std::uint32_t>(i),
                       static_cast<std::uint32_t>(r.task), r.value});
     }
   }
   core::GroupedData grouped;
-  core::group_data(kTasks, flat, grouping, {}, grouped);  // warm pool, table
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  core::group_data(input.task_count, flat, campaign.grouping, {},
+                   grouped);  // warm pool, table
+  reset_allocation_count();
+  track_allocations(true);
   for (auto _ : state) {
-    core::group_data(kTasks, flat, grouping, {}, grouped);
+    core::group_data(input.task_count, flat, campaign.grouping, {}, grouped);
     benchmark::DoNotOptimize(grouped.value.data());
   }
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
-  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+  track_allocations(false);
+  attach_alloc_count(state, allocation_count());
 }
 BENCHMARK(BM_GroupData)->Arg(2000)->Arg(10000)->Unit(benchmark::kMicrosecond);
+
+// Algorithm 2 after account grouping, as batch_discovery runs it: the batch
+// run_framework(input, grouping), which builds its cells in workspace
+// buffers, then Eq. (5) and the CRH loop to convergence.  `allocs_per_op`
+// is the heap allocations per warm call: the FrameworkResult and per-task
+// vectors, the same at both sizes (the CI perf-smoke job asserts it).
+void BM_BatchFramework(benchmark::State& state) {
+  const GroupingCampaign campaign =
+      grouping_campaign(static_cast<std::size_t>(state.range(0)));
+  benchmark::DoNotOptimize(
+      core::run_framework(campaign.input, campaign.grouping).iterations);
+  reset_allocation_count();
+  track_allocations(true);
+  for (auto _ : state) {
+    const core::FrameworkResult result =
+        core::run_framework(campaign.input, campaign.grouping);
+    benchmark::DoNotOptimize(result.truths.data());
+  }
+  track_allocations(false);
+  attach_alloc_count(state, allocation_count());
+}
+BENCHMARK(BM_BatchFramework)->Arg(2000)->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
 
 // A streaming campaign on the campaign_stream shape: 2,000 accounts over
 // 64 tasks with schedules of 4-12 tasks, 10% of them Sybil accounts in
@@ -467,19 +482,19 @@ class StreamCampaign {
 void BM_WarmRefine(benchmark::State& state) {
   StreamCampaign stream(static_cast<std::size_t>(state.range(0)));
   pipeline::CampaignState& campaign = stream.state();
-  g_alloc_count.store(0, std::memory_order_relaxed);
+  reset_allocation_count();
   for (auto _ : state) {
     state.PauseTiming();
     stream.apply_and_evict();
     benchmark::DoNotOptimize(campaign.grouping().group_count());
-    g_alloc_tracking.store(true, std::memory_order_relaxed);
+    track_allocations(true);
     state.ResumeTiming();
     campaign.refine_and_publish(false);
     state.PauseTiming();
-    g_alloc_tracking.store(false, std::memory_order_relaxed);
+    track_allocations(false);
     state.ResumeTiming();
   }
-  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+  attach_alloc_count(state, allocation_count());
   state.counters["live"] = static_cast<double>(campaign.live_observations());
 }
 BENCHMARK(BM_WarmRefine)->Arg(2000)->Unit(benchmark::kMicrosecond);
@@ -525,14 +540,14 @@ void BM_GroupingFromLabels(benchmark::State& state) {
   for (std::size_t i = 0; i < accounts; ++i) {
     labels[i] = i < sybils ? i / 5 : sybils / 5 + (i - sybils);
   }
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  reset_allocation_count();
+  track_allocations(true);
   for (auto _ : state) {
     const auto grouping = core::AccountGrouping::from_labels(labels);
     benchmark::DoNotOptimize(grouping.group_count());
   }
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
-  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+  track_allocations(false);
+  attach_alloc_count(state, allocation_count());
 }
 BENCHMARK(BM_GroupingFromLabels)
     ->Arg(2000)
@@ -622,14 +637,14 @@ void run_endpoint_grid(benchmark::State& state,
   candidate::BlockingStats stats;
   benchmark::DoNotOptimize(
       candidate::endpoint_grid_candidates(fps, 1.0, &stats));  // warm pool
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  reset_allocation_count();
+  track_allocations(true);
   for (auto _ : state) {
     const auto pairs = candidate::endpoint_grid_candidates(fps, 1.0, &stats);
     benchmark::DoNotOptimize(pairs.data());
   }
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
-  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+  track_allocations(false);
+  attach_alloc_count(state, allocation_count());
   state.counters["box_pairs"] = static_cast<double>(stats.box_pairs);
   state.counters["emitted"] = static_cast<double>(stats.candidates);
 }
@@ -831,18 +846,18 @@ void BM_ReportDecodeFast(benchmark::State& state) {
       return;
     }
   }
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  reset_allocation_count();
+  track_allocations(true);
   for (auto _ : state) {
     const server::DecodedReports decoded =
         server::decode_reports(body, 0, kSubmitTasks);
     benchmark::DoNotOptimize(decoded.reports.data());
   }
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
+  track_allocations(false);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(body.size()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+  attach_alloc_count(state, allocation_count());
   attach_simd_level(state);
 }
 BENCHMARK(BM_ReportDecodeFast);
@@ -851,18 +866,18 @@ void BM_ReportDecodeGeneric(benchmark::State& state) {
   // The same body through the JsonValue-tree codec the fallback uses: the
   // gap between this and BM_ReportDecodeFast is what the fast path buys.
   const std::string body = decode_bench_body();
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
+  reset_allocation_count();
+  track_allocations(true);
   for (auto _ : state) {
     server::DecodedReports decoded;
     server::decode_reports_generic(body, 0, kSubmitTasks, &decoded);
     benchmark::DoNotOptimize(decoded.reports.data());
   }
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
+  track_allocations(false);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(body.size()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-  attach_alloc_count(state, g_alloc_count.load(std::memory_order_relaxed));
+  attach_alloc_count(state, allocation_count());
   attach_simd_level(state);
 }
 BENCHMARK(BM_ReportDecodeGeneric);

@@ -41,9 +41,7 @@ CategoricalFrameworkResult run_categorical_framework(
   // --- data grouping: each (task, group) run's plurality label ----------
   // Cells of task j are [cell_begin[j], cell_begin[j + 1]) in group order,
   // exactly as core::group_data lays out the numeric framework's cells.
-  const auto flat = flatten_reports(input);
-  const CellSortedReports sorted =
-      sort_reports_by_cell(n_tasks, flat.span(), grouping);
+  const TaskRows rows = scatter_input_rows(input, grouping);
   std::vector<std::size_t> cell_begin(n_tasks + 1, 0);
   std::vector<std::uint32_t> cell_group;
   std::vector<std::size_t> cell_label;
@@ -52,15 +50,14 @@ CategoricalFrameworkResult run_categorical_framework(
   std::vector<double> tally(label_count);
   for (std::size_t j = 0; j < n_tasks; ++j) {
     cell_begin[j] = cell_group.size();
-    const std::size_t end = sorted.task_begin[j + 1];
-    const double submitters =
-        static_cast<double>(end - sorted.task_begin[j]);
-    for (std::size_t i = sorted.task_begin[j]; i < end;) {
-      const std::uint32_t k = sorted.group[i];
+    const std::size_t end = rows.begin[j + 1];
+    const double submitters = static_cast<double>(end - rows.begin[j]);
+    for (std::size_t i = rows.begin[j]; i < end;) {
+      const std::uint32_t k = rows.group[i];
       std::fill(tally.begin(), tally.end(), 0.0);
       double members = 0.0;
-      for (; i < end && sorted.group[i] == k; ++i) {
-        tally[to_label(sorted.value[i], label_count)] += 1.0;
+      for (; i < end && rows.group[i] == k; ++i) {
+        tally[to_label(rows.value[i], label_count)] += 1.0;
         members += 1.0;
       }
       cell_group.push_back(k);

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/error.h"
 #include "common/stats.h"
+#include "common/workspace.h"
 
 namespace sybiltd::core {
 
-double aggregate_group_values(std::span<const double> values,
-                              const DataGroupingOptions& options) {
+double aggregate_group_values_general(std::span<const double> values,
+                                      const DataGroupingOptions& options) {
   SYBILTD_CHECK(!values.empty(), "aggregating an empty group");
   switch (options.aggregate) {
     case GroupAggregate::kMean:
@@ -36,116 +36,92 @@ double aggregate_group_values(std::span<const double> values,
   return 0.0;
 }
 
-Workspace::Borrowed<GroupingReport> flatten_reports(
-    const FrameworkInput& input) {
-  constexpr std::size_t kMaxId = std::numeric_limits<std::uint32_t>::max();
-  SYBILTD_CHECK(input.accounts.size() <= kMaxId,
-                "account ids must fit in 32 bits");
-  std::size_t total = 0;
-  for (const auto& account : input.accounts) total += account.reports.size();
-  auto flat = Workspace::local().borrow<GroupingReport>(total);
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < input.accounts.size(); ++i) {
-    for (const auto& report : input.accounts[i].reports) {
-      flat[at++] = {static_cast<std::uint32_t>(i),
-                    checked_task_id(report.task, input.task_count),
-                    report.value};
-    }
-  }
-  return flat;
+namespace {
+
+// reports_of over a FrameworkInput: account a's reports.
+auto input_reports(const FrameworkInput& input) {
+  return [&input](std::size_t a) -> const std::vector<AccountObservation>& {
+    return input.accounts[a].reports;
+  };
 }
 
-CellSortedReports sort_reports_by_cell(std::size_t task_count,
-                                       std::span<const GroupingReport> reports,
-                                       const AccountGrouping& grouping) {
-  const std::size_t n = reports.size();
-  const std::size_t n_groups = grouping.group_count();
+}  // namespace
+
+TaskRows scatter_input_rows(const FrameworkInput& input,
+                            const AccountGrouping& grouping) {
+  SYBILTD_CHECK(grouping.account_count() == input.accounts.size(),
+                "grouping does not match the input accounts");
+  const auto reports_of = input_reports(input);
   Workspace& workspace = Workspace::local();
-  CellSortedReports out{workspace.borrow<std::size_t>(task_count + 1),
-                        workspace.borrow<std::uint32_t>(n),
-                        workspace.borrow<double>(n)};
+  TaskRows rows;
+  rows.begin = workspace.borrow<std::size_t>(input.task_count + 1);
+  const std::size_t n = count_task_rows(input.task_count, grouping,
+                                        reports_of, rows.begin.data());
+  rows.group = workspace.borrow<std::uint32_t>(n);
+  rows.value = workspace.borrow<double>(n);
+  scatter_task_rows(input.task_count, grouping, reports_of, rows.begin.data(),
+                    rows.group.data(), rows.value.data());
+  return rows;
+}
 
-  // Counting-sort keys: each report's group, and per-group / per-task
-  // counts turned into exclusive prefix offsets.
-  auto report_group = workspace.borrow<std::uint32_t>(n);
-  auto group_at = workspace.borrow<std::size_t>(n_groups + 1);
-  std::size_t* task_at = out.task_begin.data();
-  std::fill(group_at.begin(), group_at.end(), std::size_t{0});
-  std::fill(task_at, task_at + task_count + 1, std::size_t{0});
-  for (std::size_t r = 0; r < n; ++r) {
-    SYBILTD_CHECK(reports[r].task < task_count, "report task out of range");
-    const std::size_t k = grouping.group_of(reports[r].account);
-    report_group[r] = static_cast<std::uint32_t>(k);
-    ++group_at[k + 1];
-    ++task_at[reports[r].task + 1];
+std::size_t aggregate_task_rows(std::size_t task_count,
+                                const AccountGrouping& grouping,
+                                const DataGroupingOptions& options,
+                                const CellArrays& cells) {
+  std::fill(cells.group_task_count,
+            cells.group_task_count + grouping.group_count(), std::uint32_t{0});
+  std::size_t c = 0;
+  for (std::size_t j = 0; j < task_count; ++j) {
+    // Row j is [task_begin[j], task_begin[j + 1]) until task_begin[j]
+    // becomes the row's first cell; c never passes the row start.
+    const std::size_t begin = cells.task_begin[j];
+    const std::size_t end = cells.task_begin[j + 1];
+    cells.task_begin[j] = c;
+    const double submitters = static_cast<double>(end - begin);
+    for (std::size_t i = begin; i < end; ++c) {
+      const std::uint32_t k = cells.group[i];
+      std::size_t run_end = i + 1;
+      while (run_end < end && cells.group[run_end] == k) ++run_end;
+      const std::size_t members = run_end - i;
+      cells.value[c] = aggregate_group_values(
+          std::span<const double>(cells.value + i, members), options);
+      cells.group[c] = k;
+      if (cells.member_count != nullptr) {
+        cells.member_count[c] = static_cast<std::uint32_t>(members);
+      }
+      cells.initial_weight[c] = initial_cell_weight(
+          static_cast<double>(options.size_from_task_participants
+                                  ? members
+                                  : grouping.group(k).size()),
+          submitters, options);
+      ++cells.group_task_count[k];
+      i = run_end;
+    }
   }
-  for (std::size_t k = 0; k < n_groups; ++k) group_at[k + 1] += group_at[k];
-  for (std::size_t j = 0; j < task_count; ++j) task_at[j + 1] += task_at[j];
-
-  // Pass 1, stable by group.
-  auto by_group = workspace.borrow<std::uint32_t>(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    by_group[group_at[report_group[r]]++] = static_cast<std::uint32_t>(r);
-  }
-  // Pass 2, stable by task: (task, group) order, input order within a run.
-  // task_at[j] is still task j's start; `cursor` advances a copy.
-  auto cursor = workspace.borrow<std::size_t>(task_count);
-  std::copy(task_at, task_at + task_count, cursor.begin());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t r = by_group[i];
-    const std::size_t at = cursor[reports[r].task]++;
-    out.group[at] = report_group[r];
-    out.value[at] = reports[r].value;
-  }
-  return out;
+  cells.task_begin[task_count] = c;
+  return c;
 }
 
 void group_data(std::size_t task_count, std::span<const GroupingReport> reports,
                 const AccountGrouping& grouping,
                 const DataGroupingOptions& options, GroupedData& out) {
-  const CellSortedReports sorted =
-      sort_reports_by_cell(task_count, reports, grouping);
-  const std::size_t* run_begin = sorted.task_begin.data();
-  const std::uint32_t* run_group = sorted.group.data();
-
-  // One cell per run of equal group within a task.
-  std::size_t cells = 0;
-  for (std::size_t j = 0; j < task_count; ++j) {
-    for (std::size_t i = run_begin[j]; i < run_begin[j + 1]; ++i) {
-      if (i == run_begin[j] || run_group[i] != run_group[i - 1]) ++cells;
-    }
+  // Each account's reports are one slice of the span.
+  const std::size_t n_accounts = grouping.account_count();
+  auto account_begin = Workspace::local().borrow<std::size_t>(n_accounts + 1);
+  std::size_t a = 0;
+  for (std::size_t r = 0; r < reports.size(); ++r) {
+    SYBILTD_CHECK(reports[r].account < n_accounts,
+                  "account index out of range");
+    SYBILTD_CHECK(r == 0 || reports[r - 1].account <= reports[r].account,
+                  "grouping reports must be listed in account order");
+    while (a <= reports[r].account) account_begin[a++] = r;
   }
-
-  out.task_begin.resize(task_count + 1);
-  out.group.resize(cells);
-  out.value.resize(cells);
-  out.initial_weight.resize(cells);
-  out.member_count.resize(cells);
-  out.group_task_count.assign(grouping.group_count(), 0);
-  std::size_t c = 0;
-  for (std::size_t j = 0; j < task_count; ++j) {
-    out.task_begin[j] = c;
-    const std::size_t end = run_begin[j + 1];
-    const double submitters = static_cast<double>(end - run_begin[j]);
-    for (std::size_t i = run_begin[j]; i < end; ++c) {
-      const std::uint32_t k = run_group[i];
-      std::size_t run_end = i + 1;
-      while (run_end < end && run_group[run_end] == k) ++run_end;
-      const std::size_t members = run_end - i;
-      out.group[c] = k;
-      out.value[c] = aggregate_group_values(
-          std::span<const double>(sorted.value.data() + i, members), options);
-      out.member_count[c] = static_cast<std::uint32_t>(members);
-      out.initial_weight[c] = initial_cell_weight(
-          static_cast<double>(options.size_from_task_participants
-                                  ? members
-                                  : grouping.group(k).size()),
-          submitters, options);
-      ++out.group_task_count[k];
-      i = run_end;
-    }
-  }
-  out.task_begin[task_count] = c;
+  while (a <= n_accounts) account_begin[a++] = reports.size();
+  const auto reports_of = [&](std::size_t account) {
+    return reports.subspan(account_begin[account],
+                           account_begin[account + 1] - account_begin[account]);
+  };
+  group_account_reports(task_count, grouping, reports_of, options, out);
 }
 
 GroupedData group_data(std::size_t task_count,
@@ -162,8 +138,10 @@ GroupedData group_data(const FrameworkInput& input,
                        const DataGroupingOptions& options) {
   SYBILTD_CHECK(grouping.account_count() == input.accounts.size(),
                 "grouping does not match the input accounts");
-  const auto flat = flatten_reports(input);
-  return group_data(input.task_count, flat.span(), grouping, options);
+  GroupedData out;
+  group_account_reports(input.task_count, grouping, input_reports(input),
+                        options, out);
+  return out;
 }
 
 }  // namespace sybiltd::core

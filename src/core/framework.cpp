@@ -59,7 +59,7 @@ double group_weight_entropy(std::span<const double> weights) {
 // baseline's std-normalized loss: 1 where fewer than two values or a
 // degenerate spread.  Each task's values are already one contiguous row,
 // so no copy.
-void framework_task_normalizers(const GroupedData& grouped,
+void framework_task_normalizers(const GroupedView& grouped,
                                 std::span<const std::uint32_t> tasks,
                                 std::span<double> norm) {
   const auto row = [&](std::size_t j) {
@@ -79,7 +79,7 @@ void framework_task_normalizers(const GroupedData& grouped,
   }
 }
 
-std::vector<double> framework_task_normalizers(const GroupedData& grouped,
+std::vector<double> framework_task_normalizers(const GroupedView& grouped,
                                                std::size_t task_count) {
   SYBILTD_CHECK(grouped.task_count() == task_count,
                 "grouped data does not match the task count");
@@ -90,7 +90,7 @@ std::vector<double> framework_task_normalizers(const GroupedData& grouped,
   return norm;
 }
 
-double framework_initial_truth(const GroupedData& grouped, std::size_t j,
+double framework_initial_truth(const GroupedView& grouped, std::size_t j,
                                bool init_with_eq5) {
   double num = 0.0, den = 0.0;
   for (std::size_t c = grouped.task_begin[j]; c < grouped.task_begin[j + 1];
@@ -102,7 +102,7 @@ double framework_initial_truth(const GroupedData& grouped, std::size_t j,
   return den > 0.0 ? num / den : nan_value();
 }
 
-std::vector<double> framework_initial_truths(const GroupedData& grouped,
+std::vector<double> framework_initial_truths(const GroupedView& grouped,
                                              std::size_t task_count,
                                              bool init_with_eq5) {
   SYBILTD_CHECK(grouped.task_count() == task_count,
@@ -114,7 +114,7 @@ std::vector<double> framework_initial_truths(const GroupedData& grouped,
   return truths;
 }
 
-double framework_iterate_once(const GroupedData& grouped,
+double framework_iterate_once(const GroupedView& grouped,
                               const std::vector<double>& normalizers,
                               double loss_epsilon, std::vector<double>& truths,
                               std::vector<double>& group_weights) {
@@ -199,11 +199,26 @@ double framework_iterate_once(const GroupedData& grouped,
 FrameworkResult run_framework(const FrameworkInput& input,
                               const AccountGrouping& grouping,
                               const FrameworkOptions& options) {
-  return run_framework(group_data(input, grouping, options.data_grouping),
-                       grouping, options);
+  // The cells are built where the reports are scattered, in buffers
+  // borrowed from the workspace, so a warm call allocates no table.
+  const TaskRows rows = scatter_input_rows(input, grouping);
+  Workspace& workspace = Workspace::local();
+  auto weight = workspace.borrow<double>(rows.value.size());
+  auto group_task_count =
+      workspace.borrow<std::uint32_t>(grouping.group_count());
+  const std::size_t cells = aggregate_task_rows(
+      input.task_count, grouping, options.data_grouping,
+      {rows.begin.data(), rows.group.data(), rows.value.data(), weight.data(),
+       nullptr, group_task_count.data()});
+  const GroupedView grouped{rows.begin.span(),
+                            {rows.group.data(), cells},
+                            {rows.value.data(), cells},
+                            {weight.data(), cells},
+                            group_task_count.span()};
+  return run_framework(grouped, grouping, options);
 }
 
-FrameworkResult run_framework(const GroupedData& grouped,
+FrameworkResult run_framework(const GroupedView& grouped,
                               const AccountGrouping& grouping,
                               const FrameworkOptions& options) {
   obs::TraceSpan run_span("framework/run");

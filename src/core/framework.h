@@ -57,9 +57,9 @@ FrameworkResult run_framework(const FrameworkInput& input,
                               const FrameworkOptions& options = {});
 
 // Steps 3–5 on grouped data already built under `grouping`.  The overload
-// above groups a fresh table and calls this; the streaming drain calls it
-// on the table its campaign keeps.
-FrameworkResult run_framework(const GroupedData& grouped,
+// above builds its cells in workspace storage and calls this; the
+// streaming drain calls it on the table its campaign keeps.
+FrameworkResult run_framework(const GroupedView& grouped,
                               const AccountGrouping& grouping,
                               const FrameworkOptions& options = {});
 
@@ -78,28 +78,28 @@ FrameworkResult run_framework(const FrameworkInput& input,
 
 // Per-task scale normalizers over the grouped values (the std-normalized
 // loss denominator); 1 where fewer than two values or a degenerate spread.
-std::vector<double> framework_task_normalizers(const GroupedData& grouped,
+std::vector<double> framework_task_normalizers(const GroupedView& grouped,
                                                std::size_t task_count);
 // The normalizers of the listed tasks alone, written to norm[j] (the same
 // arithmetic, eight tasks at a time).
-void framework_task_normalizers(const GroupedData& grouped,
+void framework_task_normalizers(const GroupedView& grouped,
                                 std::span<const std::uint32_t> tasks,
                                 std::span<double> norm);
 
 // Initial truths: Eq. (5) with the Eq. (4) size weights, or the plain mean
 // of the group aggregates when init_with_eq5 is false.  NaN for tasks with
 // no data.
-std::vector<double> framework_initial_truths(const GroupedData& grouped,
+std::vector<double> framework_initial_truths(const GroupedView& grouped,
                                              std::size_t task_count,
                                              bool init_with_eq5);
 // The initial truth of task j alone (the same arithmetic).
-double framework_initial_truth(const GroupedData& grouped, std::size_t j,
+double framework_initial_truth(const GroupedView& grouped, std::size_t j,
                                bool init_with_eq5);
 
 // One Algorithm-2 iteration (lines 8–15): group-weight estimation over the
 // aggregated residuals, then truth re-estimation.  Updates `truths` and
 // `group_weights` in place and returns the max absolute truth change.
-double framework_iterate_once(const GroupedData& grouped,
+double framework_iterate_once(const GroupedView& grouped,
                               const std::vector<double>& normalizers,
                               double loss_epsilon, std::vector<double>& truths,
                               std::vector<double>& group_weights);

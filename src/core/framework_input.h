@@ -37,9 +37,9 @@ struct FrameworkInput {
   std::vector<AccountTrace> accounts;
 };
 
-// A report's task as the 32-bit id the flat tables store (flatten_reports,
-// AgTs::task_sets).  Throws unless it is below task_count and fits in 32
-// bits, so no id wraps onto another task.
+// A report's task as the 32-bit id the flat tables store (the data-grouping
+// walk, AgTs::task_sets).  Throws unless it is below task_count and fits
+// in 32 bits, so no id wraps onto another task.
 inline std::uint32_t checked_task_id(std::size_t task,
                                      std::size_t task_count) {
   SYBILTD_CHECK(task < task_count &&

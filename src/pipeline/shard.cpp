@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "common/workspace.h"
 #include "core/data_grouping.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -447,16 +446,12 @@ std::size_t CampaignState::patch_table(const core::AccountGrouping& grouping) {
 }
 
 void CampaignState::rebuild_table(const core::AccountGrouping& grouping) {
-  auto flat = Workspace::local().borrow<core::GroupingReport>(live_);
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < observations_.size(); ++i) {
-    for (const Slot& slot : observations_[i]) {
-      flat[at++] = {static_cast<std::uint32_t>(i),
-                    static_cast<std::uint32_t>(slot.task), slot.value};
-    }
-  }
-  core::group_data(task_count_, flat.span(), grouping,
-                   options_->framework.data_grouping, table_);
+  core::group_account_reports(
+      task_count_, grouping,
+      [&](std::size_t a) -> const std::vector<Slot>& {
+        return observations_[a];
+      },
+      options_->framework.data_grouping, table_);
   cell_key_.resize(table_.cell_count());
   for (std::size_t c = 0; c < cell_key_.size(); ++c) {
     cell_key_[c] = static_cast<std::uint32_t>(grouping.group(table_.group[c])[0]);
@@ -480,8 +475,8 @@ void CampaignState::refine_and_publish(bool to_convergence) {
   double final_residual = 0.0;
 
   if (to_convergence) {
-    // The drain path *is* the batch path: the same flat reports, in
-    // account order, through the same code, so a drained campaign equals
+    // The drain path *is* the batch path: the same reports, in account
+    // order, through the same cell build, so a drained campaign equals
     // core::run_framework.
     rebuild_table(current);
     core::FrameworkResult result =

@@ -143,8 +143,8 @@ class CampaignState {
 
   // Refine the warm truth state and publish a fresh snapshot.  The warm
   // path patches the grouped table and runs a few iterations;
-  // to_convergence rebuilds the table from the store with the flat
-  // group_data entry and runs the batch run_framework iteration on it.
+  // to_convergence rebuilds the table from the store with the batch cell
+  // build and runs the batch run_framework iteration on it.
   void refine_and_publish(bool to_convergence);
 
   // Reconstruct the batch-framework view of the live observations (a test

@@ -91,10 +91,8 @@ truth::Result ReputationWeightedCrh::run(
       if (den > 0.0) result.truths[j] = num / den;
     }
     // Re-estimate CRH weights against the damped truths so the final
-    // weights reflect both behaviour and reputation.
-    truth::CrhOptions warm = options_;
-    warm.convergence.max_iterations = 1;
-    // (single iteration refresh using the current truths as the start)
+    // weights reflect both behaviour and reputation: one weight step from
+    // the current truths.
     std::vector<double> losses(data.account_count(), 0.0);
     double total_loss = 0.0;
     for (const auto& obs : data.observations()) {

@@ -4,14 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <set>
 
+#include "alloc_probe.h"
 #include "common/rng.h"
 #include "core/ag_fp.h"
 #include "core/ag_tr.h"
@@ -22,28 +21,6 @@
 #include "eval/paper_example.h"
 #include "grouping_oracles.h"
 #include "mcs/scenario.h"
-
-// --- Counting allocation probe ---------------------------------------------
-// Global operator new forwarding to malloc with an opt-in counter, as in
-// tests/workspace_test.cpp.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<bool> g_alloc_tracking{false};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_alloc_tracking.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sybiltd::core {
 namespace {
@@ -96,17 +73,6 @@ TEST(AccountGrouping, FromLabelsSkipsGaps) {
   const std::vector<std::size_t> labels{5, 0, 5};
   const auto g = AccountGrouping::from_labels(labels);
   EXPECT_EQ(g.group_count(), 2u);
-}
-
-// Heap allocations `body` performs (a plain lambda: std::function would
-// allocate).
-template <typename Fn>
-std::uint64_t count_allocations(Fn&& body) {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
-  body();
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
-  return g_alloc_count.load(std::memory_order_relaxed);
 }
 
 TEST(AccountGrouping, BuildAndCopyAllocateAConstantNumberOfTimes) {
@@ -636,6 +602,56 @@ TEST(DataGrouping, ReusedTableMatchesFreshTable) {
   }
 }
 
+// The flat form reads each account's reports as one slice, so it needs
+// them in account order (any order within an account).
+TEST(DataGrouping, FlatReportsMustBeInAccountOrder) {
+  const auto grouping = AccountGrouping::singletons(3);
+  const GroupingReport ordered[] = {
+      {0, 1, 1.0}, {0, 0, 2.0}, {2, 0, 3.0}, {2, 1, 4.0}};
+  EXPECT_NO_THROW(group_data(2, ordered, grouping));
+  const GroupingReport unordered[] = {{2, 0, 3.0}, {0, 0, 1.0}};
+  EXPECT_THROW(group_data(2, unordered, grouping), std::invalid_argument);
+}
+
+// The inline one-value aggregate against the general path, bit for bit,
+// on signed zeros, subnormals, infinities, NaN and ordinary values, under
+// two deviation epsilons.
+TEST(DataGrouping, OneValueAggregateMatchesGeneralPath) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values{0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min() / 3.0,
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             kInf,
+                             -kInf,
+                             nan,
+                             -nan,
+                             1e-300,
+                             1e300,
+                             -50.0};
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(rng.uniform(-100.0, 100.0) *
+                     std::pow(10.0, rng.uniform(-12.0, 12.0)));
+  }
+  for (const double epsilon : {1e-6, 0.0}) {
+    DataGroupingOptions options;
+    options.deviation_epsilon = epsilon;
+    for (const double v : values) {
+      const double one[] = {v};
+      const double fast = aggregate_group_values(one, options);
+      const double general = aggregate_group_values_general(one, options);
+      EXPECT_EQ(std::memcmp(&fast, &general, sizeof(double)), 0)
+          << "value " << v << " epsilon " << epsilon;
+    }
+  }
+}
+
 // --- Framework (Algorithm 2) ------------------------------------------------
 
 TEST(Framework, OracleGroupingNeutralizesPaperAttack) {
@@ -719,6 +735,94 @@ TEST(Framework, Eq5InitAblationChangesInitOnly) {
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR(a.truths[j], b.truths[j], 2.0);
   }
+}
+
+// The batch run_framework builds its cells in workspace storage; it must
+// equal the framework run over the group_data table bit for bit, over
+// every aggregator, both Eq. (4) size modes and both initializations, on
+// inputs whose groups interleave across accounts, with silent accounts,
+// repeated (account, task) reports, unreported tasks and single-report
+// tasks.
+TEST(Framework, BatchPathMatchesGroupedTableBitForBit) {
+  const GroupAggregate modes[] = {
+      GroupAggregate::kInverseDeviation, GroupAggregate::kMean,
+      GroupAggregate::kMedian, GroupAggregate::kTrimmedMean,
+      GroupAggregate::kHuber};
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  Rng rng(4242);
+  std::size_t silent = 0, repeated = 0, unreported = 0, single = 0, runs = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t n_tasks = 2 + rng.uniform_index(10);
+    const std::size_t n_accounts = 3 + rng.uniform_index(40);
+    FrameworkInput input;
+    input.task_count = n_tasks;
+    input.accounts.resize(n_accounts);
+    // The last task is never reported; the one before it only by the
+    // first account that reports at all.
+    bool single_taken = false;
+    for (auto& account : input.accounts) {
+      if (rng.bernoulli(0.15)) {
+        ++silent;
+        continue;
+      }
+      for (std::size_t j = 0; j + 2 < n_tasks; ++j) {
+        if (!rng.bernoulli(0.6)) continue;
+        const double value =
+            rng.bernoulli(0.3) ? -50.0 : rng.uniform(-80.0, -40.0);
+        account.reports.push_back({j, value, static_cast<double>(j)});
+        if (rng.bernoulli(0.2)) {  // the same task again
+          account.reports.push_back(
+              {j, rng.uniform(-80.0, -40.0), static_cast<double>(j) + 0.5});
+          ++repeated;
+        }
+      }
+      if (!single_taken) {
+        account.reports.push_back({n_tasks - 2, -61.0, 0.0});
+        single_taken = true;
+      }
+      for (std::size_t r = account.reports.size(); r > 1; --r) {
+        std::swap(account.reports[r - 1],
+                  account.reports[rng.uniform_index(r)]);
+      }
+    }
+    ++unreported;
+    if (single_taken) ++single;
+    // Random labels: each group's members are spread over the accounts.
+    std::vector<std::size_t> labels(n_accounts);
+    const std::size_t n_labels = 1 + rng.uniform_index(n_accounts);
+    for (auto& label : labels) label = rng.uniform_index(n_labels);
+    const AccountGrouping grouping = AccountGrouping::from_labels(labels);
+    for (const GroupAggregate mode : modes) {
+      for (const bool participants : {true, false}) {
+        for (const bool eq5 : {true, false}) {
+          FrameworkOptions options;
+          options.data_grouping.aggregate = mode;
+          options.data_grouping.size_from_task_participants = participants;
+          options.init_with_eq5 = eq5;
+          const FrameworkResult batch = run_framework(input, grouping, options);
+          const FrameworkResult table = run_framework(
+              group_data(input, grouping, options.data_grouping), grouping,
+              options);
+          EXPECT_TRUE(same_bits(batch.truths, table.truths))
+              << "trial " << trial << " mode " << static_cast<int>(mode);
+          EXPECT_TRUE(same_bits(batch.group_weights, table.group_weights))
+              << "trial " << trial << " mode " << static_cast<int>(mode);
+          EXPECT_EQ(batch.iterations, table.iterations);
+          EXPECT_TRUE(std::isnan(batch.truths[n_tasks - 1]));
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(silent, 0u);
+  EXPECT_GT(repeated, 0u);
+  EXPECT_GT(single, 0u);
+  EXPECT_EQ(unreported, 8u);
+  EXPECT_EQ(runs, 8u * 20u);
 }
 
 }  // namespace

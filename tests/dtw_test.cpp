@@ -146,7 +146,9 @@ TEST(Dtw, TighterBandNeverLowersCost) {
     DtwOptions opt;
     opt.band = band;
     const double cost = dtw_full(a, b, opt).total_cost;
-    if (prev >= 0.0) EXPECT_GE(cost + 1e-12, prev);
+    if (prev >= 0.0) {
+      EXPECT_GE(cost + 1e-12, prev);
+    }
     prev = cost;
   }
 }

@@ -21,49 +21,20 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_probe.h"
 #include "obs/format.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-// --- Counting allocation probe ---------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<bool> g_alloc_tracking{false};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_alloc_tracking.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace sybiltd::obs {
 namespace {
-
-template <typename Fn>
-std::uint64_t count_allocations(Fn&& body) {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
-  body();
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
 
 // --- Registry semantics -----------------------------------------------------
 

@@ -12,14 +12,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
-#include <new>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -41,44 +39,10 @@
 #include "server/server.h"
 #include "server/snapshot_cache.h"
 #include "parked_pool.h"
-
-// --- Counting allocation probe ---------------------------------------------
-// Same idiom as workspace_test.cpp: replace this binary's global operator
-// new/delete with a counting forwarder to malloc, so the fast-decode
-// zero-allocation contract is proven, not assumed.  Composes with
-// ASan/TSan (their malloc interceptors still see every allocation).
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<bool> g_alloc_tracking{false};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_alloc_tracking.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_probe.h"
 
 namespace sybiltd::server {
 namespace {
-
-// Allocations performed by `body` (a plain lambda; std::function would
-// allocate).
-template <typename Fn>
-std::uint64_t count_allocations(Fn&& body) {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
-  body();
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
 
 // --- HttpParser ------------------------------------------------------------
 

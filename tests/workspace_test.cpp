@@ -11,11 +11,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <future>
-#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "alloc_probe.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
@@ -25,43 +25,8 @@
 #include "signal/fft.h"
 #include "signal/welch.h"
 
-// --- Counting allocation probe ---------------------------------------------
-// Replacement global operator new/delete forwarding to malloc/free with an
-// opt-in atomic counter.  Replacing the global operators is valid for the
-// whole binary and composes with ASan/TSan (their malloc interceptors still
-// see every allocation).
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<bool> g_alloc_tracking{false};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_alloc_tracking.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace sybiltd {
 namespace {
-
-// Run `body` with allocation counting on; return how many allocations it
-// performed.  `body` must be a plain lambda (std::function would allocate).
-template <typename Fn>
-std::uint64_t count_allocations(Fn&& body) {
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_alloc_tracking.store(true, std::memory_order_relaxed);
-  body();
-  g_alloc_tracking.store(false, std::memory_order_relaxed);
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
 
 std::vector<double> random_series(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -246,30 +211,33 @@ TEST(ZeroAllocation, FrameworkIterateOnceAfterWarmUp) {
   EXPECT_TRUE(std::isfinite(sink));
 }
 
-// group_data sorts reports into cells with workspace scratch and writes a
-// fixed set of flat arrays, so its heap allocations do not grow with the
-// campaign: one per output array, none per cell.
-TEST(ZeroAllocation, GroupDataAllocationsIndependentOfSize) {
-  const auto campaign = [](std::size_t accounts) {
-    core::FrameworkInput input;
-    input.task_count = 64;
-    input.accounts.resize(accounts);
-    Rng rng(6);
-    for (auto& account : input.accounts) {
-      for (std::size_t j = 0; j < input.task_count; ++j) {
-        if (rng.bernoulli(0.1)) {
-          account.reports.push_back({j, rng.uniform(-90.0, -50.0), 0.0});
-        }
+// A 64-task campaign at 10% density whose groups are five consecutive
+// accounts, so cells hold several values.
+std::pair<core::FrameworkInput, core::AccountGrouping> grouped_campaign(
+    std::size_t accounts) {
+  core::FrameworkInput input;
+  input.task_count = 64;
+  input.accounts.resize(accounts);
+  Rng rng(6);
+  for (auto& account : input.accounts) {
+    for (std::size_t j = 0; j < input.task_count; ++j) {
+      if (rng.bernoulli(0.1)) {
+        account.reports.push_back({j, rng.uniform(-90.0, -50.0), 0.0});
       }
     }
-    // Groups of five consecutive accounts, so cells hold several values.
-    std::vector<std::size_t> labels(accounts);
-    for (std::size_t i = 0; i < accounts; ++i) labels[i] = i / 5;
-    return std::make_pair(std::move(input),
-                          core::AccountGrouping::from_labels(labels));
-  };
-  const auto small = campaign(200);
-  const auto large = campaign(2000);
+  }
+  std::vector<std::size_t> labels(accounts);
+  for (std::size_t i = 0; i < accounts; ++i) labels[i] = i / 5;
+  return std::make_pair(std::move(input),
+                        core::AccountGrouping::from_labels(labels));
+}
+
+// group_data walks reports into cells and writes a fixed set of flat
+// arrays, so its heap allocations do not grow with the campaign: one per
+// output array, none per cell.
+TEST(ZeroAllocation, GroupDataAllocationsIndependentOfSize) {
+  const auto small = grouped_campaign(200);
+  const auto large = grouped_campaign(2000);
   // Warm the workspace pool at the larger shape first.
   (void)core::group_data(large.first, large.second);
   (void)core::group_data(small.first, small.second);
@@ -287,9 +255,32 @@ TEST(ZeroAllocation, GroupDataAllocationsIndependentOfSize) {
   EXPECT_LE(large_allocs, 8u) << "group_data allocated per cell";
 }
 
+// The batch run_framework builds its cells in workspace buffers, so a warm
+// call allocates only its FrameworkResult and per-task vectors: the same
+// count at 2,000 and at 10,000 accounts, and no new workspace buffer.
+TEST(ZeroAllocation, WarmBatchFrameworkAllocationsIndependentOfSize) {
+  std::uint64_t allocs[2] = {0, 0};
+  const std::size_t sizes[2] = {2000, 10000};
+  for (int s = 0; s < 2; ++s) {
+    const auto shape = grouped_campaign(sizes[s]);
+    (void)core::run_framework(shape.first, shape.second);  // warm-up
+    const std::uint64_t pool_misses =
+        Workspace::local().stats().heap_allocations;
+    allocs[s] = count_allocations([&] {
+      const core::FrameworkResult result =
+          core::run_framework(shape.first, shape.second);
+      EXPECT_GT(result.iterations, 0u);
+    });
+    EXPECT_EQ(Workspace::local().stats().heap_allocations, pool_misses)
+        << sizes[s] << " accounts: the warm call grew the workspace";
+  }
+  EXPECT_EQ(allocs[0], allocs[1]);
+  EXPECT_LE(allocs[1], 8u) << "run_framework allocated per report";
+}
+
 // Into a reused table that already held the campaign, group_data makes no
-// heap allocation: its arrays keep their capacity and its sort scratch
-// comes from the warm workspace pool.
+// heap allocation: its arrays keep their capacity and its account offsets
+// come from the warm workspace pool.
 TEST(ZeroAllocation, ReusedGroupDataTableAllocatesNothing) {
   constexpr std::size_t kAccounts = 500;
   constexpr std::size_t kTasks = 64;
